@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all help build vet test race race-hot check bench bench-free bench-json bench-gate bench-all telemetry-overhead events-overhead governor-overhead governor-gate pause-gate fleet-gate flightrec-smoke figures examples clean
+.PHONY: all help build vet test race race-hot fuzz-smoke check bench bench-free bench-json bench-gate bench-all telemetry-overhead events-overhead governor-overhead governor-gate pause-gate fleet-gate flightrec-smoke figures examples clean
 
 all: build vet test
 
@@ -13,6 +13,7 @@ help:
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on sweep/shadow/core/mem/jemalloc only"
+	@echo "  fuzz-smoke run each fuzz target (trace, events, metrics) for 5s"
 	@echo "  bench      sweep hot-path benchmarks (bulk scan, markers, page scan)"
 	@echo "  bench-free malloc/free hot-path benchmarks (fixed-iteration protocol)"
 	@echo "  bench-json bench-free + sweep-release + fleet runs -> BENCH_free.json, BENCH_sweep.json, BENCH_fleet.json"
@@ -44,7 +45,15 @@ race:
 # shadow markers, page scanning, the core sweep loop) — much faster than a
 # full `make race` and the first thing to run after touching the sweep path.
 race-hot:
-	$(GO) test -race ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/telemetry ./internal/events ./internal/control ./internal/workload ./internal/fleet
+	$(GO) test -race ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/ring ./internal/telemetry ./internal/events ./internal/control ./internal/workload ./internal/fleet
+
+# Short fuzzing pass over every decoder and flag parser that has a fuzz
+# target: the MSTR trace reader, the MSEV flight-dump reader and the size
+# parser behind -budget/-class. go test -fuzz takes one target per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadDump$$' -fuzztime 5s ./internal/events
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSize$$' -fuzztime 5s ./internal/metrics
 
 # The pre-merge gate: static checks, a fast config-validation pass (fails
 # immediately on inconsistent knob combinations like ZeroDeferred with
@@ -106,8 +115,9 @@ bench-gate:
 # malloc/free pair with and without the telemetry registry attached; fails if
 # attaching costs more than 3% on the minimum round. The two configurations
 # differ only by Config.Telemetry, so the ratio isolates the per-op sampling
-# decision. See telemetry_overhead_test.go for why the rounds interleave
-# rather than comparing two separate -bench entries.
+# decision. All three overhead gates and the ZeroMode A/B (MS_ZERO_AB=1) share
+# one interleaved-floor helper; see abfloor_test.go for why the rounds
+# interleave rather than comparing two separate -bench entries.
 telemetry-overhead:
 	MS_TELEMETRY_GATE=1 $(GO) test -run '^TestTelemetryOverheadGate$$' -count=1 -v .
 

@@ -34,7 +34,7 @@ import (
 func main() {
 	in := flag.String("in", "", "read a telemetry snapshot JSON file instead of running")
 	bench := flag.String("bench", "", "benchmark profile to run with telemetry attached")
-	scheme := flag.String("scheme", "minesweeper", "scheme to run the profile under")
+	scheme := flag.String("scheme", "minesweeper", fmt.Sprintf("scheme to run the profile under, one of %v", schemes.All()))
 	scale := flag.Int("scale", 1, "divide the op budget by this factor")
 	asJSON := flag.Bool("json", false, "emit the snapshot as JSON instead of text")
 	budgetFlag := flag.String("budget", "", "resident-memory budget for the adaptive governor, e.g. 64M (minesweeper schemes only)")
@@ -93,10 +93,11 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("unknown benchmark %q", *bench))
 		}
-		factory, ok := schemeFor(*scheme)
-		if !ok {
-			fatal(fmt.Errorf("unknown scheme %q", *scheme))
+		kind, err := schemes.ByName(*scheme)
+		if err != nil {
+			fatal(err)
 		}
+		factory := schemes.New(kind)
 		if *budgetFlag != "" || *governor != "" {
 			budget, err := metrics.ParseSize(*budgetFlag)
 			if err != nil {
@@ -130,19 +131,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-}
-
-func schemeFor(name string) (schemes.Factory, bool) {
-	for _, k := range []schemes.Kind{
-		schemes.Baseline, schemes.MineSweeper, schemes.MineSweeperMostly,
-		schemes.MarkUs, schemes.FFMalloc, schemes.Scudo,
-		schemes.Oscar, schemes.DangSan, schemes.PSweeper, schemes.CRCount,
-	} {
-		if k.String() == name {
-			return schemes.New(k), true
-		}
-	}
-	return schemes.Factory{}, false
 }
 
 // renderFlightDump reads an MSEV flight dump, checks its sweep spans nest

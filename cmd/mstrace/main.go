@@ -87,31 +87,21 @@ func info(args []string) {
 
 func replay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	scheme := fs.String("scheme", "minesweeper", "scheme to replay under")
+	scheme := fs.String("scheme", "minesweeper", fmt.Sprintf("scheme to replay under, one of %v", schemes.All()))
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
 	}
 	t := load(fs.Arg(0))
 
-	var factory schemes.Factory
-	found := false
-	for _, k := range []schemes.Kind{
-		schemes.Baseline, schemes.MineSweeper, schemes.MineSweeperMostly,
-		schemes.MarkUs, schemes.FFMalloc, schemes.Scudo,
-		schemes.Oscar, schemes.DangSan, schemes.PSweeper, schemes.CRCount,
-	} {
-		if k.String() == *scheme {
-			factory, found = schemes.New(k), true
-		}
-	}
-	if !found {
-		fatal(fmt.Errorf("unknown scheme %q", *scheme))
+	kind, err := schemes.ByName(*scheme)
+	if err != nil {
+		fatal(err)
 	}
 
 	space := mem.NewAddressSpace()
 	world := sim.NewWorld()
-	heap, err := factory.Build(space, world)
+	heap, err := schemes.New(kind).Build(space, world)
 	if err != nil {
 		fatal(err)
 	}
@@ -127,7 +117,7 @@ func replay(args []string) {
 		fatal(err)
 	}
 	st := heap.Stats()
-	fmt.Printf("replayed under %s\n", factory.Name)
+	fmt.Printf("replayed under %s\n", kind)
 	fmt.Printf("  wall time    %v\n", wall.Round(time.Millisecond))
 	fmt.Printf("  mallocs      %d\n", res.Mallocs)
 	fmt.Printf("  frees        %d\n", res.Frees)

@@ -27,11 +27,7 @@ func main() {
 		len(tr.Events), st.Mallocs, float64(st.PeakLiveBytes)/(1<<20))
 
 	fmt.Printf("%-20s %10s %12s %8s %8s\n", "scheme", "wall", "peak rss", "sweeps", "failed")
-	for _, kind := range []schemes.Kind{
-		schemes.Baseline, schemes.MineSweeper, schemes.MineSweeperMostly,
-		schemes.MarkUs, schemes.FFMalloc, schemes.Scudo,
-		schemes.Oscar, schemes.DangSan, schemes.PSweeper, schemes.CRCount,
-	} {
+	for _, kind := range schemes.All() {
 		space := mem.NewAddressSpace()
 		world := sim.NewWorld()
 		heap, err := schemes.New(kind).Build(space, world)

@@ -3,6 +3,8 @@ package minesweeper
 import (
 	"errors"
 	"testing"
+
+	"minesweeper/internal/schemes"
 )
 
 func newProc(t testing.TB, cfg Config) (*Process, *Thread) {
@@ -84,12 +86,7 @@ func TestUAFPreventionEndToEnd(t *testing.T) {
 }
 
 func TestAllSchemesBasicLifecycle(t *testing.T) {
-	for _, s := range []Scheme{
-		SchemeBaseline, SchemeMineSweeper, SchemeMineSweeperMostlyConcurrent,
-		SchemeMarkUs, SchemeFFMalloc, SchemeScudoMineSweeper,
-		SchemeOscar, SchemeDangSan, SchemePSweeper, SchemeCRCount,
-		SchemeDlmalloc, SchemeMineSweeperDlmalloc,
-	} {
+	for _, s := range schemes.All() {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
 			p, th := newProc(t, Config{Scheme: s})

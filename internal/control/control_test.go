@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+
+	"minesweeper/internal/ring"
 )
 
 func baseKnobs() Knobs {
@@ -206,7 +208,7 @@ func TestPlaneConvergesUnderSustainedPressure(t *testing.T) {
 }
 
 func TestDecisionRingWrapAndOrder(t *testing.T) {
-	r := NewDecisionRing(8)
+	r := ring.New[Decision](8)
 	for i := 0; i < 20; i++ {
 		r.Push(Decision{Level: Level(i % 3)})
 	}
@@ -221,11 +223,14 @@ func TestDecisionRingWrapAndOrder(t *testing.T) {
 		if d.Seq != uint64(13+i) {
 			t.Fatalf("snapshot[%d].Seq = %d, want %d (oldest first)", i, d.Seq, 13+i)
 		}
+		if d.Level != Level((12+i)%3) {
+			t.Errorf("snapshot[%d].Level = %v, want %v", i, d.Level, Level((12+i)%3))
+		}
 	}
 }
 
 func TestDecisionRingConcurrent(t *testing.T) {
-	r := NewDecisionRing(64)
+	r := ring.New[Decision](64)
 	var writers, reader sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {

@@ -205,10 +205,9 @@ type Config struct {
 	// Control, when non-nil, is the adaptive control plane: the heap reads
 	// its effective knobs (sweep threshold, unmapped factor, pause brake,
 	// helper count) instead of the frozen config fields above, and feeds an
-	// observation back after every sweep. The plane's base knobs should
-	// match this config's values; a Static-policy plane then behaves
-	// bit-for-bit like a nil one. Nil means ungoverned (the seed
-	// behaviour).
+	// observation back after every sweep. Build the plane's base knobs
+	// with BaseKnobs; a Static-policy plane then behaves bit-for-bit like
+	// a nil one. Nil means ungoverned (the seed behaviour).
 	Control *control.Plane
 }
 
@@ -231,6 +230,20 @@ func DefaultConfig() Config {
 		Sweeping:          true,
 		FailedFrees:       true,
 		Purging:           true,
+	}
+}
+
+// BaseKnobs returns the control-plane knobs this configuration sets: the
+// base a governing plane starts from and relaxes back to. A Static-policy
+// plane built on them behaves bit-for-bit like no plane at all.
+func (c Config) BaseKnobs() control.Knobs {
+	return control.Knobs{
+		SweepThreshold:    c.SweepThreshold,
+		UnmappedFactor:    c.UnmappedFactor,
+		PauseThreshold:    c.PauseThreshold,
+		Helpers:           c.Helpers,
+		RescanBudgetPages: c.RescanBudgetPages,
+		ZeroDeferred:      c.Zeroing && c.ZeroMode == ZeroDeferred,
 	}
 }
 
@@ -693,13 +706,7 @@ func (h *Heap) knobs() control.Knobs {
 	if h.ctl != nil {
 		return h.ctl.Knobs()
 	}
-	return control.Knobs{
-		SweepThreshold:    h.cfg.SweepThreshold,
-		UnmappedFactor:    h.cfg.UnmappedFactor,
-		PauseThreshold:    h.cfg.PauseThreshold,
-		Helpers:           h.cfg.Helpers,
-		RescanBudgetPages: h.cfg.RescanBudgetPages,
-	}
+	return h.cfg.BaseKnobs()
 }
 
 // budget returns the governed memory budget, or 0 (unbounded).
@@ -897,7 +904,7 @@ func (h *Heap) maybePause(tid alloc.ThreadID) {
 		return
 	}
 	for {
-		qb := h.q.Bytes() - min64(h.q.Bytes(), h.q.FailedBytes())
+		qb := h.q.Bytes() - min(h.q.Bytes(), h.q.FailedBytes())
 		// Both brakes bound memory, so a quarantine that is small in
 		// absolute terms never warrants a pause: there is nothing worth
 		// reclaiming, and waiting for a sweep could not help. This also
@@ -917,7 +924,7 @@ func (h *Heap) maybePause(tid alloc.ThreadID) {
 			// fire, leaving the §5.7 brake dead and the quarantine
 			// unbounded whenever the sweeper thread is starved of CPU.
 			heapB := h.sub.AllocatedBytes()
-			heapB -= min64(heapB, h.q.Bytes()+h.q.UnmappedBytes())
+			heapB -= min(heapB, h.q.Bytes()+h.q.UnmappedBytes())
 			ratioHit = float64(qb) > k.PauseThreshold*float64(heapB+mem.PageSize)
 		}
 		budget := h.budget()
@@ -1168,8 +1175,8 @@ func (h *Heap) maybeTriggerSweep(tid alloc.ThreadID) {
 	qb := h.q.Bytes()
 	fb := h.q.FailedBytes()
 	heapB := h.sub.AllocatedBytes()
-	effQ := qb - min64(qb, fb)
-	effH := heapB - min64(heapB, fb)
+	effQ := qb - min(qb, fb)
+	effH := heapB - min(heapB, fb)
 	reason := telemetry.TriggerThreshold
 	trigger := effQ >= h.cfg.SweepFloorBytes &&
 		float64(effQ) > k.SweepThreshold*float64(effH)
@@ -1608,7 +1615,7 @@ func (h *Heap) observeAndSteer(sweepNanos int64, released, retained uint64) {
 	heapB := h.sub.AllocatedBytes()
 	q := h.q.Bytes() + h.q.UnmappedBytes()
 	in := control.Inputs{
-		LiveBytes:        heapB - min64(heapB, q),
+		LiveBytes:        heapB - min(heapB, q),
 		QuarantinedBytes: h.q.Bytes(),
 		UnmappedBytes:    h.q.UnmappedBytes(),
 		FailedBytes:      h.q.FailedBytes(),
@@ -1897,11 +1904,4 @@ func (h *Heap) CheckInvariants() error {
 		return fmt.Errorf("core: invariant: failed bytes account %d != entry sum %d", got, failed)
 	}
 	return nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

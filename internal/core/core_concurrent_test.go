@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"minesweeper/internal/alloc"
 	"minesweeper/internal/jemalloc"
 	"minesweeper/internal/mem"
 	"minesweeper/internal/sim"
@@ -53,23 +54,43 @@ func churn(t *testing.T, h *Heap, w *sim.World, tid int, iters int) {
 	h.FlushThread(id)
 }
 
-func TestConcurrentMutatorsFullyConcurrent(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BufferCap = 8
-	h, err := New(mem.NewAddressSpace(), cfg, jemalloc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+// churnAll runs mutators concurrent churn goroutines of iters ops each and
+// waits for them; with sweeping set, a background goroutine sweeps in a loop
+// until they finish.
+func churnAll(t *testing.T, h *Heap, w *sim.World, mutators, iters int, sweeping bool) {
+	t.Helper()
+	stop := make(chan struct{})
+	var sweeper, wg sync.WaitGroup
+	if sweeping {
+		sweeper.Add(1)
+		go func() {
+			defer sweeper.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Sweep()
+				}
+			}
+		}()
 	}
-	defer h.Shutdown()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < mutators; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			churn(t, h, nil, g, 3000)
+			churn(t, h, w, g, iters)
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	sweeper.Wait()
+}
+
+// settle runs two final sweeps after churnAll and checks the churn left
+// nothing quarantined or allocated.
+func settle(t *testing.T, h *Heap) alloc.Stats {
+	t.Helper()
 	h.Sweep()
 	h.Sweep()
 	st := h.Stats()
@@ -79,7 +100,19 @@ func TestConcurrentMutatorsFullyConcurrent(t *testing.T) {
 	if st.Allocated != 0 {
 		t.Errorf("Allocated = %d at exit, want 0", st.Allocated)
 	}
-	if st.Sweeps == 0 {
+	return st
+}
+
+func TestConcurrentMutatorsFullyConcurrent(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BufferCap = 8
+	h, err := New(mem.NewAddressSpace(), cfg, jemalloc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Shutdown()
+	churnAll(t, h, nil, 4, 3000, false)
+	if st := settle(t, h); st.Sweeps == 0 {
 		t.Error("no sweeps ran")
 	}
 }
@@ -95,22 +128,8 @@ func TestConcurrentMutatorsMostlyConcurrentWithWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Shutdown()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			churn(t, h, world, g, 3000)
-		}(g)
-	}
-	wg.Wait()
-	h.Sweep()
-	h.Sweep()
-	st := h.Stats()
-	if st.Quarantined != 0 {
-		t.Errorf("Quarantined = %d after final sweeps, want 0", st.Quarantined)
-	}
-	if st.Sweeps > 0 && st.STWCycles == 0 {
+	churnAll(t, h, world, 4, 3000, false)
+	if st := settle(t, h); st.Sweeps > 0 && st.STWCycles == 0 {
 		t.Error("mostly-concurrent sweeps recorded no STW time")
 	}
 }
@@ -129,39 +148,8 @@ func TestShardedChurnWithConcurrentSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Shutdown()
-	done := make(chan struct{})
-	sweeperDone := make(chan struct{})
-	go func() {
-		defer close(sweeperDone)
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				h.Sweep()
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			churn(t, h, nil, g, 2000)
-		}(g)
-	}
-	wg.Wait()
-	close(done)
-	<-sweeperDone
-	h.Sweep()
-	h.Sweep()
-	st := h.Stats()
-	if st.Quarantined != 0 {
-		t.Errorf("Quarantined = %d after final sweeps, want 0", st.Quarantined)
-	}
-	if st.Allocated != 0 {
-		t.Errorf("Allocated = %d at exit, want 0", st.Allocated)
-	}
+	churnAll(t, h, nil, 8, 2000, true)
+	settle(t, h)
 	if got := h.sub.(*jemalloc.Heap).NumArenas(); got != 4 {
 		t.Errorf("NumArenas = %d, want 4", got)
 	}

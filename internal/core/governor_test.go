@@ -11,12 +11,7 @@ import (
 func governedConfig(budget uint64, pol control.Policy) Config {
 	cfg := testConfig()
 	cfg.Control = control.NewPlane(control.Config{
-		Base: control.Knobs{
-			SweepThreshold: cfg.SweepThreshold,
-			UnmappedFactor: cfg.UnmappedFactor,
-			PauseThreshold: cfg.PauseThreshold,
-			Helpers:        cfg.Helpers,
-		},
+		Base:   cfg.BaseKnobs(),
 		Budget: budget,
 		Policy: pol,
 	})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"minesweeper/internal/alloc"
@@ -317,40 +316,8 @@ func TestPipelinedPrecleanUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Shutdown()
-	done := make(chan struct{})
-	sweeperDone := make(chan struct{})
-	go func() {
-		defer close(sweeperDone)
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				h.Sweep()
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			churn(t, h, nil, g, 3000)
-		}(g)
-	}
-	wg.Wait()
-	close(done)
-	<-sweeperDone
-	h.Sweep()
-	h.Sweep()
-	st := h.Stats()
-	if st.Quarantined != 0 {
-		t.Errorf("Quarantined = %d after final sweeps, want 0", st.Quarantined)
-	}
-	if st.Allocated != 0 {
-		t.Errorf("Allocated = %d at exit, want 0", st.Allocated)
-	}
-	if st.STWCycles == 0 {
+	churnAll(t, h, nil, 4, 3000, true)
+	if st := settle(t, h); st.STWCycles == 0 {
 		t.Error("no STW time recorded by pipelined sweeps")
 	}
 }

@@ -285,15 +285,7 @@ func TestTelemetrySnapshotDuringChurn(t *testing.T) {
 			}
 		}
 	}()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			churn(t, h, nil, g, 2000)
-		}(g)
-	}
-	wg.Wait()
+	churnAll(t, h, nil, 4, 2000, false)
 	h.Sweep()
 	close(done)
 	readers.Wait()

@@ -226,14 +226,7 @@ func TestGovernorSteersZeroDeferred(t *testing.T) {
 	cfg := testConfig()
 	cfg.BufferCap = 16
 	cfg.ZeroMode = ZeroDeferred
-	base := control.Knobs{
-		SweepThreshold:    cfg.SweepThreshold,
-		UnmappedFactor:    cfg.UnmappedFactor,
-		PauseThreshold:    cfg.PauseThreshold,
-		Helpers:           cfg.Helpers,
-		RescanBudgetPages: cfg.RescanBudgetPages,
-		ZeroDeferred:      true,
-	}
+	base := cfg.BaseKnobs()
 	cfg.Control = control.NewPlane(control.Config{
 		Base:   base,
 		Budget: 1, // one byte: any allocation at all is Critical pressure

@@ -163,7 +163,7 @@ func ReadDump(r io.Reader) (*Dump, []KindName, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDump, err)
 		}
-		t := ThreadEvents{Name: name, Events: make([]Event, 0, min(int(nev), 1<<20))}
+		t := ThreadEvents{Name: name, Events: make([]Event, 0, min(nev, 1<<20))}
 		prevSeq, prevNanos := uint64(0), d.SinceNanos
 		for j := uint64(0); j < nev; j++ {
 			var e Event
@@ -187,6 +187,9 @@ func ReadDump(r io.Reader) (*Dump, []KindName, error) {
 			}
 			e.Seq = prevSeq + ds
 			e.Nanos = prevNanos + dn
+			if e.Seq < prevSeq || e.Nanos < prevNanos {
+				return nil, nil, fmt.Errorf("%w: ring %q delta overflows", ErrCorruptDump, name)
+			}
 			e.Kind = Kind(kb)
 			prevSeq, prevNanos = e.Seq, e.Nanos
 			t.Events = append(t.Events, e)
@@ -217,11 +220,4 @@ func readString(br *bufio.Reader) (string, error) {
 		return "", fmt.Errorf("%w: %v", ErrCorruptDump, err)
 	}
 	return string(b), nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

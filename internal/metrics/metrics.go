@@ -230,7 +230,7 @@ func ParseSize(s string) (uint64, error) {
 	if s == "" {
 		return 0, nil
 	}
-	mult := uint64(1)
+	in, mult := s, uint64(1)
 	switch s[len(s)-1] {
 	case 'k', 'K':
 		mult, s = 1<<10, s[:len(s)-1]
@@ -244,6 +244,9 @@ func ParseSize(s string) (uint64, error) {
 	n, err := strconv.ParseUint(s, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q (want e.g. 64M, 1G or a byte count)", s)
+	}
+	if n > math.MaxUint64/mult {
+		return 0, fmt.Errorf("size %q overflows 64 bits", in)
 	}
 	return n * mult, nil
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -129,6 +130,61 @@ func TestFormatters(t *testing.T) {
 	if FmtMiB(1<<20) != "1.0 MiB" {
 		t.Errorf("FmtMiB = %q", FmtMiB(1<<20))
 	}
+}
+
+func TestParseSize(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    uint64
+		wantErr bool
+	}{
+		{"", 0, false},
+		{"4096", 4096, false},
+		{"64k", 64 << 10, false},
+		{"64M", 64 << 20, false},
+		{"1G", 1 << 30, false},
+		{"2t", 2 << 40, false},
+		{"16777215T", 16777215 << 40, false},
+		{"18446744073709551615", math.MaxUint64, false},
+		{"17179869184G", 0, true}, // 2^64 bytes: once wrapped silently to 0
+		{"16777216T", 0, true},
+		{"18446744073709551616", 0, true},
+		{"M", 0, true},
+		{"-1M", 0, true},
+		{"1.5G", 0, true},
+	}
+	for _, c := range cases {
+		got, err := ParseSize(c.in)
+		if (err != nil) != c.wantErr || got != c.want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d, error %v", c.in, got, err, c.want, c.wantErr)
+		}
+	}
+}
+
+// FuzzParseSize checks ParseSize never panics and that every accepted size
+// is what the suffix arithmetic says, with no silent wrap.
+func FuzzParseSize(f *testing.F) {
+	for _, s := range []string{"", "64M", "1G", "17179869184G", "18446744073709551615", "k"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseSize(s)
+		if err != nil || s == "" {
+			return
+		}
+		digits, mult := s, uint64(1)
+		if i := strings.IndexAny(s, "kKmMgGtT"); i == len(s)-1 {
+			digits = s[:i]
+			mult = map[byte]uint64{'k': 1 << 10, 'm': 1 << 20, 'g': 1 << 30, 't': 1 << 40}[s[i]|0x20]
+		}
+		n, err := strconv.ParseUint(digits, 10, 64)
+		if err != nil {
+			t.Fatalf("ParseSize(%q) = %d, but %q is not a byte count", s, got, digits)
+		}
+		if got/mult != n || got%mult != 0 {
+			t.Fatalf("ParseSize(%q) = %d, want %d x %d", s, got, n, mult)
+		}
+	})
 }
 
 func TestPaperDataSanity(t *testing.T) {

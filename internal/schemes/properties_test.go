@@ -14,10 +14,7 @@ type interval struct{ lo, hi uint64 }
 // property under every scheme: no two simultaneously live allocations ever
 // overlap, across random malloc/free churn of mixed sizes.
 func TestNoLiveOverlapAnyScheme(t *testing.T) {
-	for _, k := range []Kind{
-		Baseline, MineSweeper, MineSweeperMostly, MarkUs, FFMalloc,
-		Scudo, Oscar, DangSan, PSweeper, CRCount, Dlmalloc, MineSweeperDlmalloc,
-	} {
+	for _, k := range All() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
@@ -69,9 +66,7 @@ func TestNoLiveOverlapAnyScheme(t *testing.T) {
 // sizes covering the request, and that writes across the full requested size
 // land (no silent truncation).
 func TestUsableSizeCoversRequestAnyScheme(t *testing.T) {
-	for _, k := range []Kind{
-		Baseline, MineSweeper, MarkUs, FFMalloc, Scudo, Oscar, DangSan, PSweeper, CRCount, Dlmalloc, MineSweeperDlmalloc,
-	} {
+	for _, k := range All() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
@@ -109,9 +104,7 @@ func TestUsableSizeCoversRequestAnyScheme(t *testing.T) {
 // TestStatsConsistencyAnyScheme checks bookkeeping: after freeing everything
 // and quiescing, no scheme reports live application bytes.
 func TestStatsConsistencyAnyScheme(t *testing.T) {
-	for _, k := range []Kind{
-		Baseline, MineSweeper, MarkUs, FFMalloc, Scudo, Oscar, DangSan, PSweeper, CRCount, Dlmalloc, MineSweeperDlmalloc,
-	} {
+	for _, k := range All() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()

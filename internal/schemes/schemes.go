@@ -5,6 +5,7 @@ package schemes
 
 import (
 	"fmt"
+	"strings"
 
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/control"
@@ -58,38 +59,6 @@ const (
 	MineSweeperDlmalloc
 )
 
-// String returns the scheme's display name.
-func (k Kind) String() string {
-	switch k {
-	case Baseline:
-		return "baseline"
-	case MineSweeper:
-		return "minesweeper"
-	case MineSweeperMostly:
-		return "minesweeper-mostly"
-	case MarkUs:
-		return "markus"
-	case FFMalloc:
-		return "ffmalloc"
-	case Scudo:
-		return "scudo-minesweeper"
-	case Oscar:
-		return "oscar"
-	case DangSan:
-		return "dangsan"
-	case PSweeper:
-		return "psweeper"
-	case CRCount:
-		return "crcount"
-	case Dlmalloc:
-		return "dlmalloc"
-	case MineSweeperDlmalloc:
-		return "minesweeper-dlmalloc"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
 // Factory builds an allocator for one run.
 type Factory struct {
 	// Name identifies the scheme in reports.
@@ -99,93 +68,123 @@ type Factory struct {
 	Build func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error)
 }
 
+// registry is every scheme's standard factory, indexed by Kind: the one
+// list String, All, ByName and New read.
+var registry = [...]Factory{
+	Baseline: {"baseline", func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
+		return jemalloc.New(space, jemalloc.DefaultConfig()), nil
+	}},
+	MineSweeper:       {"minesweeper", buildCore(core.DefaultConfig())},
+	MineSweeperMostly: {"minesweeper-mostly", buildCore(mostlyConfig())},
+	MarkUs: {"markus", func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
+		cfg := markus.DefaultConfig()
+		if world != nil {
+			cfg.World = world
+		}
+		return markus.New(space, cfg, jemalloc.DefaultConfig()), nil
+	}},
+	FFMalloc: {"ffmalloc", func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
+		return ffmalloc.New(space), nil
+	}},
+	Scudo: {"scudo-minesweeper", func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
+		cfg := scudo.DefaultConfig()
+		if world != nil {
+			cfg.World = world
+		}
+		return scudo.New(space, cfg)
+	}},
+	Oscar: {"oscar", func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
+		return oscar.New(space), nil
+	}},
+	DangSan: {"dangsan", func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
+		return dangsan.New(space, jemalloc.DefaultConfig()), nil
+	}},
+	PSweeper: {"psweeper", func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
+		return psweeper.New(space, psweeper.DefaultConfig(), jemalloc.DefaultConfig()), nil
+	}},
+	CRCount: {"crcount", func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
+		return crcount.New(space, jemalloc.DefaultConfig()), nil
+	}},
+	Dlmalloc: {"dlmalloc", func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
+		return dlmalloc.New(space), nil
+	}},
+	MineSweeperDlmalloc: {"minesweeper-dlmalloc", func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
+		cfg := core.DefaultConfig()
+		if world != nil {
+			cfg.World = world
+		}
+		// In-band chunks share pages with neighbours: page release
+		// is unavailable on this substrate.
+		cfg.Unmapping = false
+		return core.NewWithSubstrate(space, cfg, dlmalloc.New(space))
+	}},
+}
+
+// String returns the scheme's display name.
+func (k Kind) String() string {
+	if k >= 0 && int(k) < len(registry) {
+		return registry[k].Name
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// All returns every scheme kind, in declaration order.
+func All() []Kind {
+	ks := make([]Kind, len(registry))
+	for i := range ks {
+		ks[i] = Kind(i)
+	}
+	return ks
+}
+
+// ByName returns the kind whose display name is name — the form the CLIs'
+// -scheme flags take. The error for an unknown name lists the valid ones.
+func ByName(name string) (Kind, error) {
+	names := make([]string, len(registry))
+	for i, f := range registry {
+		if f.Name == name {
+			return Kind(i), nil
+		}
+		names[i] = f.Name
+	}
+	return 0, fmt.Errorf("schemes: unknown scheme %q (want one of: %s)", name, strings.Join(names, ", "))
+}
+
 // New returns the standard factory for a scheme kind.
 func New(kind Kind) Factory {
-	switch kind {
-	case Baseline:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return jemalloc.New(space, jemalloc.DefaultConfig()), nil
-		}}
-	case MineSweeper:
-		return Custom(kind.String(), core.DefaultConfig())
-	case MineSweeperMostly:
-		cfg := core.DefaultConfig()
-		cfg.Mode = core.MostlyConcurrent
-		return Custom(kind.String(), cfg)
-	case MarkUs:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-			cfg := markus.DefaultConfig()
-			if world != nil {
-				cfg.World = world
-			}
-			return markus.New(space, cfg, jemalloc.DefaultConfig()), nil
-		}}
-	case FFMalloc:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return ffmalloc.New(space), nil
-		}}
-	case Scudo:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-			cfg := scudo.DefaultConfig()
-			if world != nil {
-				cfg.World = world
-			}
-			return scudo.New(space, cfg)
-		}}
-	case Oscar:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return oscar.New(space), nil
-		}}
-	case DangSan:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return dangsan.New(space, jemalloc.DefaultConfig()), nil
-		}}
-	case PSweeper:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return psweeper.New(space, psweeper.DefaultConfig(), jemalloc.DefaultConfig()), nil
-		}}
-	case CRCount:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return crcount.New(space, jemalloc.DefaultConfig()), nil
-		}}
-	case Dlmalloc:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, _ *sim.World) (alloc.Allocator, error) {
-			return dlmalloc.New(space), nil
-		}}
-	case MineSweeperDlmalloc:
-		return Factory{Name: kind.String(), Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-			cfg := core.DefaultConfig()
-			if world != nil {
-				cfg.World = world
-			}
-			// In-band chunks share pages with neighbours: page release
-			// is unavailable on this substrate.
-			cfg.Unmapping = false
-			return core.NewWithSubstrate(space, cfg, dlmalloc.New(space))
-		}}
-	default:
+	if kind < 0 || int(kind) >= len(registry) {
 		panic(fmt.Sprintf("schemes: unknown kind %d", kind))
 	}
+	return registry[kind]
 }
 
 // Custom returns a MineSweeper factory with an explicit core configuration —
 // the hook the ablation experiments (Figures 15-17) use to switch individual
 // optimisations off.
 func Custom(name string, cfg core.Config) Factory {
-	return Factory{Name: name, Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-		if world != nil && cfg.World == nil {
-			cfg.World = world
-		}
-		return core.New(space, cfg, jemalloc.DefaultConfig())
-	}}
+	return Factory{Name: name, Build: buildCore(cfg)}
 }
 
-// Governed returns a MineSweeper factory whose heap is steered by an adaptive
-// control plane: budget is the resident-memory budget in bytes (0 =
-// unbounded, pressure then comes only from quarantine age) and policy the
-// governing policy (nil = control.Static, the bit-for-bit-compatible
-// default). Each Build constructs a fresh plane, so repeated runs do not
-// share governor state.
+// buildCore builds a MineSweeper heap over jemalloc from cfg, handing it the
+// caller's world when cfg names none. Each build works on its own copy of
+// cfg, so one factory can build many heaps, concurrently too.
+func buildCore(cfg core.Config) func(*mem.AddressSpace, *sim.World) (alloc.Allocator, error) {
+	return func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
+		c := cfg
+		if world != nil && c.World == nil {
+			c.World = world
+		}
+		return core.New(space, c, jemalloc.DefaultConfig())
+	}
+}
+
+// mostlyConfig is the default core configuration in mostly-concurrent mode.
+func mostlyConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Mode = core.MostlyConcurrent
+	return cfg
+}
+
 // GovernedByName resolves a scheme name and policy name (the CLI flag forms)
 // into a governed factory. Only the sweeping MineSweeper schemes can be
 // governed — the knobs the plane steers do not exist elsewhere — so any other
@@ -212,23 +211,20 @@ func GovernedByName(scheme string, budget uint64, policyName string) (Factory, e
 	return Governed(scheme+"-governed", cfg, budget, pol), nil
 }
 
+// Governed returns a MineSweeper factory whose heap is steered by an adaptive
+// control plane: budget is the resident-memory budget in bytes (0 =
+// unbounded, pressure then comes only from quarantine age) and policy the
+// governing policy (nil = control.Static, the bit-for-bit-compatible
+// default). Each Build constructs a fresh plane, so repeated runs do not
+// share governor state.
 func Governed(name string, cfg core.Config, budget uint64, policy control.Policy) Factory {
 	return Factory{Name: name, Build: func(space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
-		if world != nil && cfg.World == nil {
-			cfg.World = world
-		}
-		cfg.Control = control.NewPlane(control.Config{
-			Base: control.Knobs{
-				SweepThreshold:    cfg.SweepThreshold,
-				UnmappedFactor:    cfg.UnmappedFactor,
-				PauseThreshold:    cfg.PauseThreshold,
-				Helpers:           cfg.Helpers,
-				RescanBudgetPages: cfg.RescanBudgetPages,
-				ZeroDeferred:      cfg.Zeroing && cfg.ZeroMode == core.ZeroDeferred,
-			},
+		c := cfg
+		c.Control = control.NewPlane(control.Config{
+			Base:   c.BaseKnobs(),
 			Budget: budget,
 			Policy: policy,
 		})
-		return core.New(space, cfg, jemalloc.DefaultConfig())
+		return buildCore(c)(space, world)
 	}}
 }

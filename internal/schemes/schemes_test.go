@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"strings"
 	"testing"
 
 	"minesweeper/internal/mem"
@@ -8,8 +9,7 @@ import (
 )
 
 func TestAllKindsBuild(t *testing.T) {
-	kinds := []Kind{Baseline, MineSweeper, MineSweeperMostly, MarkUs, FFMalloc, Scudo, Oscar, DangSan, PSweeper, CRCount, Dlmalloc, MineSweeperDlmalloc}
-	for _, k := range kinds {
+	for _, k := range All() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			f := New(k)
@@ -53,11 +53,34 @@ func TestKindStrings(t *testing.T) {
 		t.Error("unknown kind has empty string")
 	}
 	seen := map[string]bool{}
-	for _, k := range []Kind{Baseline, MineSweeper, MineSweeperMostly, MarkUs, FFMalloc, Scudo, Oscar, DangSan, PSweeper, CRCount, Dlmalloc, MineSweeperDlmalloc} {
+	for _, k := range All() {
 		s := k.String()
 		if seen[s] {
 			t.Errorf("duplicate scheme name %q", s)
 		}
 		seen[s] = true
+	}
+	if len(All()) != int(MineSweeperDlmalloc)+1 {
+		t.Errorf("All() lists %d kinds, want %d", len(All()), int(MineSweeperDlmalloc)+1)
+	}
+}
+
+// TestByNameRoundTrip checks every kind resolves from its own name, and that
+// an unknown name's error lists the valid ones.
+func TestByNameRoundTrip(t *testing.T) {
+	for _, k := range All() {
+		got, err := ByName(k.String())
+		if err != nil || got != k {
+			t.Errorf("ByName(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	_, err := ByName("scudo")
+	if err == nil {
+		t.Fatal("ByName accepted an unknown name")
+	}
+	for _, k := range All() {
+		if !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("unknown-scheme error %q does not list %q", err, k)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"sync"
 	"testing"
+
+	"minesweeper/internal/ring"
 )
 
 // The concurrency stress tests mirror core_concurrent_test.go's structure:
@@ -45,7 +47,7 @@ func TestConcurrentHistogram(t *testing.T) {
 const ringStamp = 0xC0FFEE
 
 func TestConcurrentSweepRing(t *testing.T) {
-	r := NewSweepRing(16)
+	r := ring.New[SweepRecord](16)
 	const writers, per = 4, 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"minesweeper/internal/ring"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -106,8 +108,10 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// TestSweepRingWraparound checks the registry's sweep log: a SweepRecord
+// ring keeps the newest records, oldest first, stamped by WithSeq.
 func TestSweepRingWraparound(t *testing.T) {
-	r := NewSweepRing(4)
+	r := ring.New[SweepRecord](4)
 	for i := 0; i < 10; i++ {
 		r.Push(SweepRecord{TotalNanos: int64(i)})
 	}
@@ -129,15 +133,6 @@ func TestSweepRingWraparound(t *testing.T) {
 		if rec.TotalNanos != int64(wantSeq-1) {
 			t.Errorf("snap[%d].TotalNanos = %d, want %d", i, rec.TotalNanos, wantSeq-1)
 		}
-	}
-}
-
-func TestSweepRingCapRounding(t *testing.T) {
-	if n := len(NewSweepRing(5).slots); n != 8 {
-		t.Errorf("cap 5 rounds to %d slots, want 8", n)
-	}
-	if n := len(NewSweepRing(0).slots); n != DefaultRingCap {
-		t.Errorf("cap 0 gives %d slots, want %d", n, DefaultRingCap)
 	}
 }
 

@@ -33,81 +33,53 @@ package minesweeper
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/control"
+	"minesweeper/internal/core"
+	"minesweeper/internal/schemes"
 )
 
 // Addr is a virtual address in the simulated process.
 type Addr = uint64
 
-// Scheme selects the memory-management scheme protecting a Process.
-type Scheme int
+// Scheme selects the memory-management scheme protecting a Process. Its
+// String is the scheme's name, the form the CLIs' -scheme flags take.
+type Scheme = schemes.Kind
 
 // Available schemes.
 const (
 	// SchemeBaseline is unprotected jemalloc (the evaluation baseline).
-	SchemeBaseline Scheme = iota
+	SchemeBaseline = schemes.Baseline
 	// SchemeMineSweeper is the paper's default: fully concurrent sweeps.
-	SchemeMineSweeper
+	SchemeMineSweeper = schemes.MineSweeper
 	// SchemeMineSweeperMostlyConcurrent adds the stop-the-world re-scan
 	// of modified pages (§4.3, §5.3).
-	SchemeMineSweeperMostlyConcurrent
+	SchemeMineSweeperMostlyConcurrent = schemes.MineSweeperMostly
 	// SchemeMarkUs is the transitive-marking comparison system.
-	SchemeMarkUs
+	SchemeMarkUs = schemes.MarkUs
 	// SchemeFFMalloc is the one-time-allocator comparison system.
-	SchemeFFMalloc
+	SchemeFFMalloc = schemes.FFMalloc
 	// SchemeScudoMineSweeper pairs MineSweeper with a Scudo-style
 	// hardened allocator (§7).
-	SchemeScudoMineSweeper
+	SchemeScudoMineSweeper = schemes.Scudo
 	// SchemeOscar is the page-permissions comparator (§6.3).
-	SchemeOscar
+	SchemeOscar = schemes.Oscar
 	// SchemeDangSan is the pointer-tracking nullification comparator
 	// (§6.4).
-	SchemeDangSan
+	SchemeDangSan = schemes.DangSan
 	// SchemePSweeper is the concurrent pointer-sweeping comparator (§6.4).
-	SchemePSweeper
+	SchemePSweeper = schemes.PSweeper
 	// SchemeCRCount is the reference-counting comparator (§6.6).
-	SchemeCRCount
+	SchemeCRCount = schemes.CRCount
 	// SchemeDlmalloc is an unprotected GNU-malloc-style allocator with
 	// in-band metadata (the §2 footnote's corruptible baseline).
-	SchemeDlmalloc
+	SchemeDlmalloc = schemes.Dlmalloc
 	// SchemeMineSweeperDlmalloc drops MineSweeper onto the dlmalloc
 	// substrate — a second any-allocator integration (§7).
-	SchemeMineSweeperDlmalloc
+	SchemeMineSweeperDlmalloc = schemes.MineSweeperDlmalloc
 )
-
-// String returns the scheme's name.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeBaseline:
-		return "baseline"
-	case SchemeMineSweeper:
-		return "minesweeper"
-	case SchemeMineSweeperMostlyConcurrent:
-		return "minesweeper-mostly"
-	case SchemeMarkUs:
-		return "markus"
-	case SchemeFFMalloc:
-		return "ffmalloc"
-	case SchemeScudoMineSweeper:
-		return "scudo-minesweeper"
-	case SchemeOscar:
-		return "oscar"
-	case SchemeDangSan:
-		return "dangsan"
-	case SchemePSweeper:
-		return "psweeper"
-	case SchemeCRCount:
-		return "crcount"
-	case SchemeDlmalloc:
-		return "dlmalloc"
-	case SchemeMineSweeperDlmalloc:
-		return "minesweeper-dlmalloc"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
 
 // Allocation errors, matched with errors.Is.
 var (
@@ -206,27 +178,15 @@ type Config struct {
 
 // ZeroMode selects when zero-on-free (§4.1) runs for small quarantined
 // frees; see Config.ZeroMode.
-type ZeroMode int
+type ZeroMode = core.ZeroMode
 
 const (
 	// ZeroImmediate zeroes inside free() (the default; the paper's
 	// benign-dangling-read-sees-0 semantics).
-	ZeroImmediate ZeroMode = iota
+	ZeroImmediate = core.ZeroImmediate
 	// ZeroDeferred batches zeroing into the thread-ring drain.
-	ZeroDeferred
+	ZeroDeferred = core.ZeroDeferred
 )
-
-// String returns the mode's name.
-func (z ZeroMode) String() string {
-	switch z {
-	case ZeroImmediate:
-		return "immediate"
-	case ZeroDeferred:
-		return "deferred"
-	default:
-		return fmt.Sprintf("ZeroMode(%d)", int(z))
-	}
-}
 
 // Policy is a control-plane policy deciding knob adjustments at sweep
 // boundaries. Use StaticPolicy or AIMDPolicy, or implement the interface for
@@ -252,7 +212,7 @@ var ErrBadConfig = errors.New("minesweeper: invalid config")
 // schemeHasSweeps reports whether the scheme runs MineSweeper sweeps (the
 // core-based schemes, for which budget/controller/knob overrides are
 // meaningful).
-func (s Scheme) schemeHasSweeps() bool {
+func schemeHasSweeps(s Scheme) bool {
 	switch s {
 	case SchemeMineSweeper, SchemeMineSweeperMostlyConcurrent,
 		SchemeScudoMineSweeper, SchemeMineSweeperDlmalloc:
@@ -266,13 +226,16 @@ func (s Scheme) schemeHasSweeps() bool {
 // it; callers constructing configs programmatically can call it early.
 //
 // Zero values mean "use the default" and always validate. Explicit values
-// must make sense: SweepThreshold is a fraction in (0, 1] (the quarantine
-// can never exceed the heap that contains it, so a larger value would
-// silently disable sweeping — ask for that explicitly with 1), Helpers and
-// BufferCap cannot be negative, UnmappedFactor below 1 would re-sweep
-// permanently (the paper uses 9), and MemoryBudget/Controller require a
-// scheme that sweeps at all.
+// must make sense: Scheme is one of the Scheme constants, SweepThreshold is
+// a fraction in (0, 1] (the quarantine can never exceed the heap that
+// contains it, so a larger value would silently disable sweeping — ask for
+// that explicitly with 1), Helpers and BufferCap cannot be negative,
+// UnmappedFactor below 1 would re-sweep permanently (the paper uses 9), and
+// MemoryBudget/Controller require a scheme that sweeps at all.
 func (c Config) Validate() error {
+	if !slices.Contains(schemes.All(), c.Scheme) {
+		return fmt.Errorf("%w: unknown Scheme %v", ErrBadConfig, c.Scheme)
+	}
 	if c.SweepThreshold < 0 || c.SweepThreshold > 1 {
 		return fmt.Errorf("%w: SweepThreshold %v outside (0, 1] (0 = default 0.15)",
 			ErrBadConfig, c.SweepThreshold)
@@ -289,11 +252,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: UnmappedFactor %v below 1 (0 = default 9; values under 1 would trigger permanent re-sweeping)",
 			ErrBadConfig, c.UnmappedFactor)
 	}
-	if c.MemoryBudget > 0 && !c.Scheme.schemeHasSweeps() {
+	if c.MemoryBudget > 0 && !schemeHasSweeps(c.Scheme) {
 		return fmt.Errorf("%w: MemoryBudget set but scheme %v has no sweeps to govern",
 			ErrBadConfig, c.Scheme)
 	}
-	if c.Controller != nil && !c.Scheme.schemeHasSweeps() {
+	if c.Controller != nil && !schemeHasSweeps(c.Scheme) {
 		return fmt.Errorf("%w: Controller set but scheme %v has no sweeps to govern",
 			ErrBadConfig, c.Scheme)
 	}

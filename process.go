@@ -1,21 +1,16 @@
 package minesweeper
 
 import (
-	"fmt"
-
 	"minesweeper/internal/alloc"
 	"minesweeper/internal/control"
 	"minesweeper/internal/core"
-	"minesweeper/internal/crcount"
-	"minesweeper/internal/dangsan"
 	"minesweeper/internal/dlmalloc"
 	"minesweeper/internal/events"
-	"minesweeper/internal/ffmalloc"
 	"minesweeper/internal/jemalloc"
 	"minesweeper/internal/markus"
 	"minesweeper/internal/mem"
-	"minesweeper/internal/oscar"
 	"minesweeper/internal/psweeper"
+	"minesweeper/internal/schemes"
 	"minesweeper/internal/scudo"
 	"minesweeper/internal/sim"
 	"minesweeper/internal/telemetry"
@@ -107,9 +102,7 @@ func coreConfig(cfg Config, world *sim.World) core.Config {
 		}
 	}
 	ccfg.Zeroing = !cfg.DisableZeroing
-	if cfg.ZeroMode == ZeroDeferred {
-		ccfg.ZeroMode = core.ZeroDeferred
-	}
+	ccfg.ZeroMode = cfg.ZeroMode
 	ccfg.Unmapping = !cfg.DisableUnmapping
 	ccfg.Purging = !cfg.DisablePurging
 	ccfg.DebugDoubleFree = cfg.DebugDoubleFree
@@ -122,14 +115,7 @@ func coreConfig(cfg Config, world *sim.World) core.Config {
 		// policy reproduces the ungoverned behaviour exactly and an
 		// adaptive one relaxes back to precisely the configured state.
 		ccfg.Control = control.NewPlane(control.Config{
-			Base: control.Knobs{
-				SweepThreshold:    ccfg.SweepThreshold,
-				UnmappedFactor:    ccfg.UnmappedFactor,
-				PauseThreshold:    ccfg.PauseThreshold,
-				Helpers:           ccfg.Helpers,
-				RescanBudgetPages: ccfg.RescanBudgetPages,
-				ZeroDeferred:      ccfg.Zeroing && ccfg.ZeroMode == core.ZeroDeferred,
-			},
+			Base:   ccfg.BaseKnobs(),
 			Budget: cfg.MemoryBudget,
 			Policy: pol,
 		})
@@ -137,10 +123,10 @@ func coreConfig(cfg Config, world *sim.World) core.Config {
 	return ccfg
 }
 
+// buildHeap builds the configured scheme, applying the Config overrides the
+// scheme understands; schemes without any take their schemes.New defaults.
 func buildHeap(cfg Config, space *mem.AddressSpace, world *sim.World) (alloc.Allocator, error) {
 	switch cfg.Scheme {
-	case SchemeBaseline:
-		return jemalloc.New(space, jemalloc.DefaultConfig()), nil
 	case SchemeMineSweeper, SchemeMineSweeperMostlyConcurrent:
 		return core.New(space, coreConfig(cfg, world), jemalloc.DefaultConfig())
 	case SchemeMarkUs:
@@ -151,17 +137,11 @@ func buildHeap(cfg Config, space *mem.AddressSpace, world *sim.World) (alloc.All
 		}
 		mcfg.Synchronous = cfg.Synchronous
 		return markus.New(space, mcfg, jemalloc.DefaultConfig()), nil
-	case SchemeFFMalloc:
-		return ffmalloc.New(space), nil
 	case SchemeScudoMineSweeper:
 		scfg := scudo.DefaultConfig()
 		ccfg := coreConfig(cfg, world)
 		scfg.Core = &ccfg
 		return scudo.New(space, scfg)
-	case SchemeOscar:
-		return oscar.New(space), nil
-	case SchemeDangSan:
-		return dangsan.New(space, jemalloc.DefaultConfig()), nil
 	case SchemePSweeper:
 		pcfg := psweeper.DefaultConfig()
 		pcfg.Synchronous = cfg.Synchronous
@@ -169,17 +149,12 @@ func buildHeap(cfg Config, space *mem.AddressSpace, world *sim.World) (alloc.All
 			pcfg.WakeThreshold = cfg.SweepThreshold
 		}
 		return psweeper.New(space, pcfg, jemalloc.DefaultConfig()), nil
-	case SchemeCRCount:
-		return crcount.New(space, jemalloc.DefaultConfig()), nil
-	case SchemeDlmalloc:
-		return dlmalloc.New(space), nil
 	case SchemeMineSweeperDlmalloc:
 		ccfg := coreConfig(cfg, world)
 		ccfg.Unmapping = false // in-band chunks share pages with neighbours
 		return core.NewWithSubstrate(space, ccfg, dlmalloc.New(space))
-	default:
-		return nil, fmt.Errorf("minesweeper: unknown scheme %v", cfg.Scheme)
 	}
+	return schemes.New(cfg.Scheme).Build(space, world)
 }
 
 // NewThread registers a mutator thread with a deterministic seed.

@@ -25,6 +25,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"controller on sweepless scheme", Config{Scheme: SchemeBaseline, Controller: AIMDPolicy()}, "Controller"},
 		{"deferred zeroing with zeroing disabled", Config{Scheme: SchemeMineSweeper, ZeroMode: ZeroDeferred, DisableZeroing: true}, "ZeroDeferred"},
 		{"unknown zero mode", Config{Scheme: SchemeMineSweeper, ZeroMode: ZeroMode(7)}, "ZeroMode"},
+		{"unknown scheme", Config{Scheme: Scheme(12)}, "Scheme"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
