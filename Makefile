@@ -9,11 +9,11 @@ all: build vet test
 help:
 	@echo "MineSweeper reproduction targets:"
 	@echo "  all        build + vet + test"
-	@echo "  check      go vet + race-detector pass over the concurrent hot paths"
+	@echo "  check      go vet + config validation + Synchronous determinism at -cpu 1,2,4 + race-hot + events-overhead + fleet-gate"
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on sweep/shadow/core/mem/jemalloc only"
-	@echo "  fuzz-smoke run each fuzz target (trace, events, metrics) for 5s"
+	@echo "  fuzz-smoke run each fuzz target (events dump, size parser, msfleet -class) for 5s"
 	@echo "  bench      sweep hot-path benchmarks (bulk scan, markers, page scan)"
 	@echo "  bench-free malloc/free hot-path benchmarks (fixed-iteration protocol)"
 	@echo "  bench-json bench-free + sweep-release + fleet runs -> BENCH_free.json, BENCH_sweep.json, BENCH_fleet.json"
@@ -48,22 +48,26 @@ race-hot:
 	$(GO) test -race ./internal/sweep ./internal/shadow ./internal/core ./internal/quarantine ./internal/mem ./internal/jemalloc ./internal/ring ./internal/telemetry ./internal/events ./internal/control ./internal/workload ./internal/fleet
 
 # Short fuzzing pass over every decoder and flag parser that has a fuzz
-# target: the MSTR trace reader, the MSEV flight-dump reader and the size
-# parser behind -budget/-class. go test -fuzz takes one target per run.
+# target: the MSEV flight-dump reader, the size parser behind -budget/-class
+# and the msfleet -class spec parser with fleet.Config.Validate behind it.
+# go test -fuzz takes one target per run.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDump$$' -fuzztime 5s ./internal/events
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSize$$' -fuzztime 5s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz '^FuzzClassSpec$$' -fuzztime 5s ./cmd/msfleet
 
 # The pre-merge gate: static checks, a fast config-validation pass (fails
-# immediately on inconsistent knob combinations like ZeroDeferred with
-# zeroing disabled), the hot-path race pass, the events-overhead gate
+# immediately on nonsense knob values like an unknown ZeroMode), the
+# Synchronous-mode determinism check at 1, 2 and 4 CPUs (a Static-governed
+# run must match an ungoverned one stat for stat whatever the core count),
+# the hot-path race pass, the events-overhead gate
 # (the flight recorder is always-attachable, so its hot-path cost is a
 # merge-blocking property like the race freedom of the paths it instruments),
 # then the fleet gate (the federated governor's budget bound is likewise a
 # merge-blocking property of the two-level control plane).
 check: vet
 	$(GO) test -run '^TestValidate' -count=1 .
+	$(GO) test -cpu 1,2,4 -count=3 -run '^TestGovernorStaticEquivalence$$' ./internal/workload
 	$(MAKE) race-hot
 	$(MAKE) events-overhead
 	$(MAKE) fleet-gate
@@ -191,7 +195,6 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/uafexploit
 	$(GO) run ./examples/webcache
-	$(GO) run ./examples/tracereplay
 	$(GO) run ./examples/fdpoison
 	$(GO) run ./examples/telemetry
 	$(GO) run ./examples/governor

@@ -40,7 +40,6 @@ func attack(protected bool) {
 		cfg := core.DefaultConfig()
 		cfg.Mode = core.Synchronous
 		cfg.BufferCap = 1
-		cfg.Unmapping = false // dlmalloc chunks share pages
 		h, cerr := core.NewWithSubstrate(space, cfg, sub)
 		if cerr != nil {
 			log.Fatal(cerr)

@@ -137,21 +137,12 @@ func TestDebugDoubleFree(t *testing.T) {
 }
 
 func TestAblationSwitches(t *testing.T) {
-	p, th := newProc(t, Config{Scheme: SchemeMineSweeper, DisableZeroing: true})
+	_, th := newProc(t, Config{Scheme: SchemeMineSweeper, ZeroMode: ZeroOff})
 	a, _ := th.Malloc(64)
 	_ = th.Store(a, 7)
 	_ = th.Free(a)
 	if v, _ := th.Load(a); v != 7 {
-		t.Error("zeroing happened despite DisableZeroing")
-	}
-	_ = p
-
-	p2, th2 := newProc(t, Config{Scheme: SchemeMineSweeper, DisableUnmapping: true})
-	b, _ := th2.Malloc(1 << 20)
-	rss := p2.RSS()
-	_ = th2.Free(b)
-	if p2.RSS() != rss {
-		t.Error("unmapping happened despite DisableUnmapping")
+		t.Error("zeroing happened despite ZeroOff")
 	}
 }
 

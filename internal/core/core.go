@@ -85,6 +85,8 @@ const (
 	ZeroImmediate ZeroMode = iota
 	// ZeroDeferred batches zeroing into the thread ring's drain.
 	ZeroDeferred
+	// ZeroOff disables zero-on-free altogether (ablation only).
+	ZeroOff
 )
 
 // String returns the mode's name.
@@ -94,6 +96,8 @@ func (z ZeroMode) String() string {
 		return "immediate"
 	case ZeroDeferred:
 		return "deferred"
+	case ZeroOff:
+		return "off"
 	default:
 		return fmt.Sprintf("ZeroMode(%d)", int(z))
 	}
@@ -108,22 +112,13 @@ type Config struct {
 	// stop-the-world re-scan still runs but without stopping mutators
 	// (acceptable for tests; real runs supply the simulator's world).
 	World sweep.StopTheWorld
-	// ConcurrentMark pipelines the MostlyConcurrent sweep: the full-heap
-	// marking pass runs concurrently with mutators against the quarantine
-	// snapshot taken at lock-in, and only the soft-dirty re-scan (plus the
-	// thread-ring quiesce) sits inside the stop-the-world window, so the
-	// pause scales with the mutators' write rate rather than heap size
-	// (§4.3). When false, the entire mark runs inside the stop-the-world
-	// window — the ablation whose pause grows with the heap. Ignored
-	// outside MostlyConcurrent mode.
-	ConcurrentMark bool
 	// RescanBudgetPages bounds the dirty-page set handed to the
-	// stop-the-world re-scan: while more pages than this are dirty, the
-	// sweeper runs extra concurrent pre-clean rounds (test-and-clear
-	// dirty re-scans, at most maxPreCleanRounds) before stopping the
-	// world. Zero or negative disables pre-cleaning; only meaningful with
-	// ConcurrentMark. Governed heaps steer this knob through the control
-	// plane.
+	// stop-the-world re-scan of the MostlyConcurrent pipeline: while more
+	// pages than this are dirty, the sweeper runs extra concurrent
+	// pre-clean rounds (test-and-clear dirty re-scans, at most
+	// maxPreCleanRounds) before stopping the world. Zero or negative
+	// disables pre-cleaning. Governed heaps steer this knob through the
+	// control plane.
 	RescanBudgetPages int
 
 	// SweepThreshold triggers a sweep when mapped quarantined bytes
@@ -162,10 +157,8 @@ type Config struct {
 	// to the allocator (after optional zero/unmap-remap), reproducing the
 	// "base overheads" and "unmapping + zeroing" partial versions (§5.5).
 	Quarantine bool
-	// Zeroing zero-fills memory in free() (§4.1).
-	Zeroing bool
-	// ZeroMode selects when the §4.1 zero-fill of ring-buffered small
-	// frees happens. ZeroImmediate (the default, and the paper's
+	// ZeroMode selects whether and when free() zero-fills memory (§4.1).
+	// ZeroImmediate (the default, and the paper's
 	// semantics) zeroes inside free(), so a benign dangling read observes
 	// zeros from the moment free returns. ZeroDeferred batches the
 	// zeroing into the thread ring's drain: one grouped, range-merged
@@ -176,8 +169,8 @@ type Config struct {
 	// to sweeps via Append, so sweeps still never release memory holding
 	// its old contents, and an exploit spraying after the drain still
 	// finds zeroed memory. Large unmapped frees and the eager
-	// (unregistered/debug) path are unaffected. Meaningless unless
-	// Zeroing is true.
+	// (unregistered/debug) path are unaffected. ZeroOff skips the
+	// zero-fill entirely (the ablation of Figures 15-17).
 	ZeroMode ZeroMode
 	// Unmapping releases physical pages of large quarantined allocations
 	// (§4.2).
@@ -216,7 +209,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Mode:              FullyConcurrent,
-		ConcurrentMark:    true,
 		RescanBudgetPages: DefaultRescanBudgetPages,
 		SweepThreshold:    0.15,
 		UnmappedFactor:    9.0,
@@ -225,7 +217,6 @@ func DefaultConfig() Config {
 		BufferCap:         quarantine.DefaultBufferCap,
 		SweepFloorBytes:   DefaultSweepFloorBytes,
 		Quarantine:        true,
-		Zeroing:           true,
 		Unmapping:         true,
 		Sweeping:          true,
 		FailedFrees:       true,
@@ -243,7 +234,7 @@ func (c Config) BaseKnobs() control.Knobs {
 		PauseThreshold:    c.PauseThreshold,
 		Helpers:           c.Helpers,
 		RescanBudgetPages: c.RescanBudgetPages,
-		ZeroDeferred:      c.Zeroing && c.ZeroMode == ZeroDeferred,
+		ZeroDeferred:      c.ZeroMode == ZeroDeferred,
 	}
 }
 
@@ -476,7 +467,7 @@ func newHeap(space *mem.AddressSpace, cfg Config) (*Heap, error) {
 		stop:          make(chan struct{}),
 	}
 	h.genCond = sync.NewCond(&h.genMu)
-	h.deferZero.Store(cfg.Zeroing && cfg.ZeroMode == ZeroDeferred)
+	h.deferZero.Store(cfg.ZeroMode == ZeroDeferred)
 	return h, nil
 }
 
@@ -735,7 +726,7 @@ func (h *Heap) RegisterThread() alloc.ThreadID {
 	// The drain-time zero pass is installed whenever the config can defer
 	// zeroing: even if the governor flips deferral off later, entries
 	// pushed while it was on still need the hook to scrub them at drain.
-	if h.cfg.Zeroing && h.cfg.ZeroMode == ZeroDeferred {
+	if h.cfg.ZeroMode == ZeroDeferred {
 		ts.tbuf.SetZeroHook(h.ringZeroHook(ts))
 	}
 	if rec := h.evt.Load(); rec != nil {
@@ -1031,18 +1022,19 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 	}
 
 	if !h.cfg.Quarantine {
-		// Partial versions (§5.5): optional zero/unmap-remap, then
-		// forward straight to the allocator.
-		if h.cfg.Zeroing && !a.Large {
-			_ = h.space.Zero(a.Base, a.Size)
-		}
+		// Partial versions (§5.5): optional unmap-remap or zero, then
+		// forward straight to the allocator. A failed decommit falls back
+		// to zeroing, as on the quarantine paths below.
+		unmapped := false
 		if h.cfg.Unmapping && a.Large && a.Size >= unmapMinBytes {
 			if err := h.sub.DecommitExtent(a.Base); err == nil {
 				// Immediately remap, as the partial version does.
 				_ = h.space.Commit(a.Base, a.Size, mem.ProtRW)
 				h.unmappedPages.ClearRange(a.Base, a.Base+a.Size)
+				unmapped = true
 			}
-		} else if h.cfg.Zeroing && a.Large {
+		}
+		if h.cfg.ZeroMode != ZeroOff && !unmapped {
 			_ = h.space.Zero(a.Base, a.Size)
 		}
 		return h.sub.FreeResolved(h.subTidFor(tid), ref, addr)
@@ -1075,7 +1067,7 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 				unmapped = true
 			}
 		}
-		if h.cfg.Zeroing && !unmapped {
+		if h.cfg.ZeroMode != ZeroOff && !unmapped {
 			_ = h.space.Zero(a.Base, a.Size)
 		}
 		h.q.Append([]*quarantine.Entry{e})
@@ -1100,7 +1092,7 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 		}
 	}
 	e.Zeroed = true // nothing to scrub (zeroing off, or the decommit discarded it)
-	if h.cfg.Zeroing && !unmapped {
+	if h.cfg.ZeroMode != ZeroOff && !unmapped {
 		if h.deferZero.Load() {
 			// ZeroDeferred: the ring's drain hook scrubs the whole batch
 			// in one range-merged pass, always before the entry becomes
@@ -1352,9 +1344,10 @@ func (h *Heap) recordStw(rec *telemetry.SweepRecord, tel *telemetry.Registry, d 
 }
 
 // markPhase runs the configured marking pipeline for one sweep, filling the
-// mark-related fields of rec. Caller holds sweepMu.
+// mark-related fields of rec. Caller holds sweepMu. Outside MostlyConcurrent
+// mode it is the full-heap pass alone.
 //
-// The MostlyConcurrent + ConcurrentMark pipeline (§4.3):
+// The MostlyConcurrent pipeline (§4.3):
 //
 //  1. Snapshot-at-beginning: the lock-in that produced this sweep's work
 //     list already happened, and ClearSoftDirty opens the write-tracking
@@ -1368,61 +1361,32 @@ func (h *Heap) recordStw(rec *telemetry.SweepRecord, tel *telemetry.Registry, d 
 //     still dirty. The pause scales with the mutators' residual write rate,
 //     not heap size.
 func (h *Heap) markPhase(rec *telemetry.SweepRecord, tel *telemetry.Registry, er *events.Ring) {
-	if h.cfg.Mode != MostlyConcurrent {
-		if er != nil {
-			er.Emit(events.KindMarkBegin, 0, 0)
-		}
-		ps := h.sw.MarkAllStats()
-		rec.MarkNanos = ps.ElapsedNanos
-		rec.PagesScanned = ps.PagesScanned
-		rec.BytesScanned = ps.BytesScanned
-		rec.BytesZeroSkipped = ps.ZeroSkippedBytes
-		rec.PagesKnownZero = ps.KnownZeroPages
-		if er != nil {
-			er.Emit(events.KindMarkEnd, ps.PagesScanned, ps.BytesScanned)
-		}
-		return
-	}
-	if !h.cfg.ConcurrentMark {
-		// Ablation: the entire mark inside the stop-the-world window — the
-		// configuration whose pause grows with heap size, kept for the
-		// same-window A/B against the pipelined path.
-		start := time.Now()
-		h.stopWorld()
-		if er != nil {
-			er.Emit(events.KindStwBegin, 0, 0)
-			er.Emit(events.KindMarkBegin, 0, 0)
-		}
-		ps := h.sw.MarkAllStats()
-		rec.MarkNanos = ps.ElapsedNanos
-		rec.PagesScanned = ps.PagesScanned
-		rec.BytesScanned = ps.BytesScanned
-		rec.BytesZeroSkipped = ps.ZeroSkippedBytes
-		rec.PagesKnownZero = ps.KnownZeroPages
-		if er != nil {
-			er.Emit(events.KindMarkEnd, ps.PagesScanned, ps.BytesScanned)
-			er.Emit(events.KindStwEnd, 0, 0)
-		}
-		h.startWorld()
-		h.recordStw(rec, tel, time.Since(start))
-		return
-	}
+	pipelined := h.cfg.Mode == MostlyConcurrent
 	// The mark span covers the whole pipeline — concurrent full-heap pass,
 	// pre-clean rounds, and the STW re-scan nest inside it.
 	if er != nil {
 		er.Emit(events.KindMarkBegin, 0, 0)
 	}
-	h.space.ClearSoftDirty()
+	if pipelined {
+		h.space.ClearSoftDirty()
+	}
 	ps := h.sw.MarkAllStats()
 	rec.MarkNanos = ps.ElapsedNanos
-	rec.PagesScanned = ps.PagesScanned
-	rec.BytesScanned = ps.BytesScanned
-	rec.BytesZeroSkipped = ps.ZeroSkippedBytes
 	rec.PagesKnownZero = ps.KnownZeroPages
-	h.finishPipelinedMark(rec, tel, er)
+	addPass(rec, ps)
+	if pipelined {
+		h.finishPipelinedMark(rec, tel, er)
+	}
 	if er != nil {
 		er.Emit(events.KindMarkEnd, rec.PagesScanned, rec.BytesScanned)
 	}
+}
+
+// addPass charges one marking pass's scan work to rec.
+func addPass(rec *telemetry.SweepRecord, ps sweep.PassStats) {
+	rec.PagesScanned += ps.PagesScanned
+	rec.BytesScanned += ps.BytesScanned
+	rec.BytesZeroSkipped += ps.ZeroSkippedBytes
 }
 
 // finishPipelinedMark runs stages 3 and 4 of the pipeline — the concurrent
@@ -1456,9 +1420,7 @@ func (h *Heap) finishPipelinedMark(rec *telemetry.SweepRecord, tel *telemetry.Re
 			}
 			cp := h.sw.MarkDirtyClearStats()
 			rec.PrecleanPages += cp.PagesScanned
-			rec.PagesScanned += cp.PagesScanned
-			rec.BytesScanned += cp.BytesScanned
-			rec.BytesZeroSkipped += cp.ZeroSkippedBytes
+			addPass(rec, cp)
 			if er != nil {
 				er.Emit(events.KindPrecleanEnd, cp.PagesScanned, uint64(round))
 			}
@@ -1490,9 +1452,7 @@ func (h *Heap) finishPipelinedMark(rec *telemetry.SweepRecord, tel *telemetry.Re
 			}
 			cp := h.sw.MarkDirtyClearStats()
 			rec.PrecleanPages += cp.PagesScanned
-			rec.PagesScanned += cp.PagesScanned
-			rec.BytesScanned += cp.BytesScanned
-			rec.BytesZeroSkipped += cp.ZeroSkippedBytes
+			addPass(rec, cp)
 			if er != nil {
 				er.Emit(events.KindPrecleanEnd, cp.PagesScanned, uint64(maxPreCleanRounds+attempt))
 			}
@@ -1500,9 +1460,7 @@ func (h *Heap) finishPipelinedMark(rec *telemetry.SweepRecord, tel *telemetry.Re
 		}
 		dp := h.sw.MarkDirtyStats()
 		rec.DirtyPages = dp.PagesScanned
-		rec.PagesScanned += dp.PagesScanned
-		rec.BytesScanned += dp.BytesScanned
-		rec.BytesZeroSkipped += dp.ZeroSkippedBytes
+		addPass(rec, dp)
 		if er != nil {
 			er.Emit(events.KindStwEnd, dp.PagesScanned, 0)
 		}
@@ -1649,7 +1607,7 @@ func (h *Heap) observeAndSteer(sweepNanos int64, released, retained uint64) {
 		// The cached hot-path switch follows the governed knob. Entries
 		// pushed while deferral was on are still scrubbed: the drain hook
 		// stays installed and keys off Entry.Zeroed, not this switch.
-		h.deferZero.Store(d.After.ZeroDeferred && h.cfg.Zeroing)
+		h.deferZero.Store(d.After.ZeroDeferred)
 	}
 	if d.After.Helpers == d.Before.Helpers {
 		return
@@ -1672,11 +1630,12 @@ const releaseBatchSize = 256
 
 // filterAndRecycle consults the shadow map for each locked-in entry and
 // either releases it to the allocator or returns it to quarantine. The list
-// is divided equally among the sweep workers (§4.4); each worker batches the
-// entries it releases and frees them through the substrate's FreeBatch, so
-// recycling n entries costs locks proportional to the number of (shard,
-// class) groups, not to n. Returns how many entries were released to the
-// substrate and how many were retained (requeued as failed frees).
+// is divided equally among the sweep workers (§4.4; one worker in
+// Synchronous mode); each worker batches the entries it releases and frees
+// them through the substrate's FreeBatch, so recycling n entries costs locks
+// proportional to the number of (shard, class) groups, not to n. Returns how
+// many entries were released to the substrate and how many were retained
+// (requeued as failed frees).
 func (h *Heap) filterAndRecycle(locked []*quarantine.Entry) (released, retained uint64) {
 	start := time.Now()
 	// The current worker count tracks the governed helper knob; the
@@ -1685,6 +1644,12 @@ func (h *Heap) filterAndRecycle(locked []*quarantine.Entry) (released, retained 
 	workers := h.sw.Workers()
 	if workers > len(h.recycleTids) {
 		workers = len(h.recycleTids)
+	}
+	if h.cfg.Mode == Synchronous {
+		// Synchronous mode is deterministic: one worker frees the released
+		// entries in lock-in order into one substrate thread, so reuse
+		// order does not follow the scheduler. Marking stays parallel.
+		workers = 1
 	}
 	if workers > len(locked) {
 		workers = len(locked)

@@ -86,7 +86,7 @@ func BenchmarkSweepReleaseNoKnownZero(b *testing.B) {
 func BenchmarkSweepReleaseNoMark(b *testing.B) {
 	cfg := benchSweepConfig()
 	cfg.Sweeping = false
-	cfg.Zeroing = false
+	cfg.ZeroMode = ZeroOff
 	h, tid, addrs := benchSweepSetup(b, cfg)
 	runSweepRelease(b, h, tid, addrs)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"minesweeper/internal/alloc"
+	"minesweeper/internal/dlmalloc"
 	"minesweeper/internal/jemalloc"
 	"minesweeper/internal/mem"
 )
@@ -212,7 +213,7 @@ func TestCyclicQuarantineWithoutZeroingNeverFrees(t *testing.T) {
 	// The paper's motivation for zeroing (§4.1): cyclic structures in
 	// quarantine can never be deallocated without it.
 	cfg := testConfig()
-	cfg.Zeroing = false
+	cfg.ZeroMode = ZeroOff
 	h, tid := newTestHeap(t, cfg)
 	a, _ := h.Malloc(tid, 64)
 	b, _ := h.Malloc(tid, 64)
@@ -443,7 +444,7 @@ func TestPartialVersionBaseOverheads(t *testing.T) {
 	// Figure 17 stage 1: free forwards straight to the allocator.
 	cfg := testConfig()
 	cfg.Quarantine = false
-	cfg.Zeroing = false
+	cfg.ZeroMode = ZeroOff
 	cfg.Unmapping = false
 	h, tid := newTestHeap(t, cfg)
 	a, _ := h.Malloc(tid, 48)
@@ -479,6 +480,59 @@ func TestPartialVersionZeroUnmap(t *testing.T) {
 	// Unmapped then immediately remapped: accessible and zero.
 	if v, err := h.space.Load64(l); err != nil || v != 0 {
 		t.Errorf("large partial-mode free: load = %v, %v; want 0, nil", v, err)
+	}
+}
+
+// failDecommit is a substrate hook set whose page release always fails.
+type failDecommit struct{ jemalloc.DefaultHooks }
+
+func (failDecommit) Decommit(*mem.AddressSpace, uint64, uint64) error {
+	return errors.New("decommit refused")
+}
+
+func TestPartialVersionFailedDecommitZeroes(t *testing.T) {
+	// A large partial-mode free whose decommit fails must fall back to
+	// zeroing before the allocator gets the memory back.
+	cfg := testConfig()
+	cfg.Quarantine = false
+	jcfg := jemalloc.DefaultConfig()
+	jcfg.Hooks = failDecommit{}
+	h, err := New(mem.NewAddressSpace(), cfg, jcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Shutdown)
+	tid := h.RegisterThread()
+	l, _ := h.Malloc(tid, 1<<20)
+	_ = h.space.Store64(l, 7)
+	if err := h.Free(tid, l); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := h.space.Load64(l); err != nil || v != 0 {
+		t.Errorf("large free after failed decommit: load = %v, %v; want 0, nil", v, err)
+	}
+}
+
+func TestDlmallocLargeFreeZeroedNotUnmapped(t *testing.T) {
+	// dlmalloc cannot release chunk pages, so the default config's
+	// Unmapping has nothing to act on: a large free is zeroed in place.
+	space := mem.NewAddressSpace()
+	h, err := NewWithSubstrate(space, testConfig(), dlmalloc.New(space))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Shutdown)
+	tid := h.RegisterThread()
+	l, _ := h.Malloc(tid, 1<<20)
+	_ = space.Store64(l, 7)
+	if err := h.Free(tid, l); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Stats().QuarantinedUnmapped; got != 0 {
+		t.Errorf("QuarantinedUnmapped = %d, want 0 on dlmalloc", got)
+	}
+	if v, err := space.Load64(l); err != nil || v != 0 {
+		t.Errorf("large dlmalloc free: load = %v, %v; want 0, nil", v, err)
 	}
 }
 

@@ -119,7 +119,6 @@ func (w *dirtyOnStopWorld) Start() {}
 func TestEventsStwSpansAndOverBudgetTrip(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.RescanBudgetPages = 1
 	w := &dirtyOnStopWorld{pages: 4}
 	cfg.World = w

@@ -44,7 +44,6 @@ func (w *freeOnStopWorld) Start() {}
 func TestConcurrentMarkSnapshotOracle(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.SweepThreshold = 1e18 // manual sweeps only
 	cfg.UnmappedFactor = 0
 	cfg.PauseThreshold = 0
@@ -221,7 +220,6 @@ func (w *writeOnStopWorld) Start() {}
 func TestDirtyRescanSeesWindowWrite(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.RescanBudgetPages = DefaultRescanBudgetPages
 	reg := telemetry.NewRegistry(64)
 	cfg.Telemetry = reg
@@ -269,7 +267,6 @@ func TestDirtyRescanSeesWindowWrite(t *testing.T) {
 func TestPrecleanRoundsConsumeDirtyPages(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.RescanBudgetPages = 1
 	h, tid := newTestHeap(t, cfg)
 
@@ -308,7 +305,6 @@ func TestPrecleanRoundsConsumeDirtyPages(t *testing.T) {
 func TestPipelinedPrecleanUnderChurn(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = MostlyConcurrent
-	cfg.ConcurrentMark = true
 	cfg.RescanBudgetPages = 1
 	cfg.BufferCap = 8
 	h, err := New(mem.NewAddressSpace(), cfg, jemalloc.DefaultConfig())

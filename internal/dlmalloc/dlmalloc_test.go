@@ -142,7 +142,6 @@ func TestMineSweeperBlocksMetadataCorruption(t *testing.T) {
 	cfg.SweepThreshold = 1e18
 	cfg.PauseThreshold = 0
 	cfg.BufferCap = 1
-	cfg.Unmapping = false // dlmalloc cannot release chunk pages
 	h, err := core.NewWithSubstrate(space, cfg, sub)
 	if err != nil {
 		t.Fatal(err)

@@ -24,9 +24,9 @@ import (
 // Per-ring seqs and timestamps are monotonically non-decreasing, so deltas
 // are small and the stream compresses an event to a handful of bytes. The
 // kind table makes dumps self-describing: a reader built against an older
-// kind set still decodes and labels everything it finds. This is the same
-// varint discipline as the MSTR allocation-trace format (internal/trace),
-// and the event encoding ROADMAP item 5's replay pipeline consumes.
+// kind set still decodes and labels everything it finds. MSEV is the
+// repository's only binary encoding; a record/replay pipeline would build
+// on it.
 
 const dumpMagic = "MSEV"
 

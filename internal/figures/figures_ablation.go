@@ -16,7 +16,7 @@ func optimisationLadder() []schemes.Factory {
 	return []schemes.Factory{
 		msVariant("unoptimised", func(c *core.Config) {
 			c.Mode = core.Synchronous
-			c.Zeroing = false
+			c.ZeroMode = core.ZeroOff
 			c.Unmapping = false
 			c.Purging = false
 		}),
@@ -117,7 +117,7 @@ func partialVersions() []schemes.Factory {
 	return []schemes.Factory{
 		msVariant("base", func(c *core.Config) {
 			c.Quarantine = false
-			c.Zeroing = false
+			c.ZeroMode = core.ZeroOff
 			c.Unmapping = false
 		}),
 		msVariant("+unmap+zero", func(c *core.Config) {

@@ -20,6 +20,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"minesweeper/internal/events"
 )
@@ -130,17 +131,18 @@ func (c Config) Validate() error {
 		if cl.Tenants < 1 {
 			return badf("class %d (%q): tenants must be >= 1, got %d", i, cl.Name, cl.Tenants)
 		}
-		if cl.Weight <= 0 {
-			return badf("class %d (%q): weight must be positive, got %g", i, cl.Name, cl.Weight)
+		// Written as !(x > 0) so NaN, which compares false, is rejected.
+		if !(cl.Weight > 0) || math.IsInf(cl.Weight, 1) {
+			return badf("class %d (%q): weight must be positive and finite, got %g", i, cl.Name, cl.Weight)
 		}
 		if cl.Priority < 0 {
 			return badf("class %d (%q): priority must be >= 0, got %d", i, cl.Name, cl.Priority)
 		}
-		if cl.Lambda < 0 {
-			return badf("class %d (%q): lambda must be >= 0, got %g", i, cl.Name, cl.Lambda)
+		if !(cl.Lambda >= 0) || math.IsInf(cl.Lambda, 1) {
+			return badf("class %d (%q): lambda must be >= 0 and finite, got %g", i, cl.Name, cl.Lambda)
 		}
-		if cl.Burst < 0 {
-			return badf("class %d (%q): burst must be >= 0, got %g", i, cl.Name, cl.Burst)
+		if !(cl.Burst >= 0) || math.IsInf(cl.Burst, 1) {
+			return badf("class %d (%q): burst must be >= 0 and finite, got %g", i, cl.Name, cl.Burst)
 		}
 		switch cl.Workload {
 		case "", "cache", "churn", "burst":
@@ -150,10 +152,13 @@ func (c Config) Validate() error {
 		if cl.Floor > c.HostBudget {
 			return badf("class %d (%q): per-tenant floor %d exceeds host budget %d", i, cl.Name, cl.Floor, c.HostBudget)
 		}
-		floors += uint64(cl.Tenants) * cl.Floor
-		if floors > c.HostBudget {
-			return badf("tenant floors sum past the host budget (%d > %d): floors are guarantees the host must be able to cover", floors, c.HostBudget)
+		// Compared by division: the product of a huge tenant count and
+		// its floor could wrap around and look small.
+		if cl.Floor > 0 && uint64(cl.Tenants) > (c.HostBudget-floors)/cl.Floor {
+			return badf("class %d (%q): tenant floors sum past the host budget (%d more tenants of %d on top of %d > %d): floors are guarantees the host must be able to cover",
+				i, cl.Name, cl.Tenants, cl.Floor, floors, c.HostBudget)
 		}
+		floors += uint64(cl.Tenants) * cl.Floor
 	}
 	return nil
 }

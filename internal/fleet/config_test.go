@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -42,11 +43,21 @@ func TestConfigValidatePerField(t *testing.T) {
 		{"negative priority", func(c *Config) { c.Classes[0].Priority = -1 }, "priority"},
 		{"negative lambda", func(c *Config) { c.Classes[1].Lambda = -1 }, "lambda"},
 		{"negative burst", func(c *Config) { c.Classes[1].Burst = -0.5 }, "burst"},
+		{"NaN weight", func(c *Config) { c.Classes[1].Weight = math.NaN() }, "weight"},
+		{"infinite weight", func(c *Config) { c.Classes[1].Weight = math.Inf(1) }, "weight"},
+		{"NaN lambda", func(c *Config) { c.Classes[1].Lambda = math.NaN() }, "lambda"},
+		{"infinite lambda", func(c *Config) { c.Classes[1].Lambda = math.Inf(1) }, "lambda"},
+		{"NaN burst", func(c *Config) { c.Classes[1].Burst = math.NaN() }, "burst"},
+		{"infinite burst", func(c *Config) { c.Classes[1].Burst = math.Inf(1) }, "burst"},
 		{"bad workload", func(c *Config) { c.Classes[0].Workload = "webscale" }, "workload"},
 		{"floor past budget", func(c *Config) { c.Classes[0].Floor = 128 << 20 }, "budget"},
 		{"floors sum past budget", func(c *Config) {
 			c.Classes[0].Floor = 20 << 20
 			c.Classes[1].Floor = 20 << 20
+		}, "floors sum past the host budget"},
+		{"floors product wraps", func(c *Config) {
+			c.HostBudget = 8 << 20
+			c.Classes[1].Tenants = 1 << 44 // 2^44 tenants × 1 MiB = 2^64 B
 		}, "floors sum past the host budget"},
 	}
 	for _, tc := range cases {

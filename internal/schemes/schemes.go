@@ -113,9 +113,6 @@ var registry = [...]Factory{
 		if world != nil {
 			cfg.World = world
 		}
-		// In-band chunks share pages with neighbours: page release
-		// is unavailable on this substrate.
-		cfg.Unmapping = false
 		return core.NewWithSubstrate(space, cfg, dlmalloc.New(space))
 	}},
 }

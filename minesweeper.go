@@ -114,34 +114,22 @@ type Config struct {
 	UnmappedFactor float64
 	// BufferCap overrides the thread-local quarantine buffer capacity.
 	BufferCap int
-	// DisableConcurrentMark turns off the pipelined mostly-concurrent mark:
-	// the whole marking pass then runs inside the stop-the-world window
-	// instead of concurrently with mutators, so the pause grows with heap
-	// size — ablation only. Meaningful only for
-	// SchemeMineSweeperMostlyConcurrent.
-	DisableConcurrentMark bool
 	// RescanBudgetPages overrides the dirty-page budget for the
 	// mostly-concurrent stop-the-world re-scan (default 512): while more
 	// pages are dirty, the sweeper pre-cleans concurrently before stopping
 	// the world. Negative disables pre-cleaning; zero keeps the default.
 	RescanBudgetPages int
-	// DisableZeroing turns off zero-on-free (§4.1) — ablation only.
-	DisableZeroing bool
-	// ZeroMode selects when zero-on-free runs for small quarantined frees.
+	// ZeroMode selects whether and when zero-on-free (§4.1) runs.
 	// ZeroImmediate (the default) zeroes inside free(), so a benign
 	// dangling read sees zeros the moment free returns — the paper's
 	// semantics. ZeroDeferred batches the zeroing into the thread ring's
 	// drain (one range-merged pass per batch, always completing before the
 	// entries become sweep-visible), trading a bounded stale-read window —
 	// at most one ring, BufferCap frees — for a cheaper free() hot path.
-	// Incompatible with DisableZeroing; Validate rejects the combination.
+	// ZeroOff turns zero-on-free off altogether — ablation only.
 	// Governed heaps expose the deferral as a knob the controller may turn
 	// off under pressure but never on when this field left it immediate.
 	ZeroMode ZeroMode
-	// DisableUnmapping turns off large-object page release (§4.2).
-	DisableUnmapping bool
-	// DisablePurging turns off the post-sweep allocator purge (§4.5).
-	DisablePurging bool
 	// Synchronous runs sweeps on the freeing thread (ablation, Figure 15).
 	Synchronous bool
 	// DebugDoubleFree reports double frees as errors instead of absorbing
@@ -186,6 +174,8 @@ const (
 	ZeroImmediate = core.ZeroImmediate
 	// ZeroDeferred batches zeroing into the thread-ring drain.
 	ZeroDeferred = core.ZeroDeferred
+	// ZeroOff disables zero-on-free (ablation only).
+	ZeroOff = core.ZeroOff
 )
 
 // Policy is a control-plane policy deciding knob adjustments at sweep
@@ -260,11 +250,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: Controller set but scheme %v has no sweeps to govern",
 			ErrBadConfig, c.Scheme)
 	}
-	if c.ZeroMode == ZeroDeferred && c.DisableZeroing {
-		return fmt.Errorf("%w: ZeroDeferred with DisableZeroing — there is no zeroing to defer",
-			ErrBadConfig)
-	}
-	if c.ZeroMode != ZeroImmediate && c.ZeroMode != ZeroDeferred {
+	if c.ZeroMode != ZeroImmediate && c.ZeroMode != ZeroDeferred && c.ZeroMode != ZeroOff {
 		return fmt.Errorf("%w: unknown ZeroMode %v", ErrBadConfig, c.ZeroMode)
 	}
 	return nil

@@ -94,17 +94,13 @@ func coreConfig(cfg Config, world *sim.World) core.Config {
 	if cfg.BufferCap > 0 {
 		ccfg.BufferCap = cfg.BufferCap
 	}
-	ccfg.ConcurrentMark = !cfg.DisableConcurrentMark
 	if cfg.RescanBudgetPages != 0 {
 		ccfg.RescanBudgetPages = cfg.RescanBudgetPages
 		if cfg.RescanBudgetPages < 0 {
 			ccfg.RescanBudgetPages = 0
 		}
 	}
-	ccfg.Zeroing = !cfg.DisableZeroing
 	ccfg.ZeroMode = cfg.ZeroMode
-	ccfg.Unmapping = !cfg.DisableUnmapping
-	ccfg.Purging = !cfg.DisablePurging
 	ccfg.DebugDoubleFree = cfg.DebugDoubleFree
 	if cfg.MemoryBudget > 0 || cfg.Controller != nil {
 		pol := cfg.Controller
@@ -150,9 +146,7 @@ func buildHeap(cfg Config, space *mem.AddressSpace, world *sim.World) (alloc.All
 		}
 		return psweeper.New(space, pcfg, jemalloc.DefaultConfig()), nil
 	case SchemeMineSweeperDlmalloc:
-		ccfg := coreConfig(cfg, world)
-		ccfg.Unmapping = false // in-band chunks share pages with neighbours
-		return core.NewWithSubstrate(space, ccfg, dlmalloc.New(space))
+		return core.NewWithSubstrate(space, coreConfig(cfg, world), dlmalloc.New(space))
 	}
 	return schemes.New(cfg.Scheme).Build(space, world)
 }

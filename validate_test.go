@@ -23,7 +23,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"budget on markus", Config{Scheme: SchemeMarkUs, MemoryBudget: 1 << 30}, "MemoryBudget"},
 		{"budget on ffmalloc", Config{Scheme: SchemeFFMalloc, MemoryBudget: 1 << 30}, "MemoryBudget"},
 		{"controller on sweepless scheme", Config{Scheme: SchemeBaseline, Controller: AIMDPolicy()}, "Controller"},
-		{"deferred zeroing with zeroing disabled", Config{Scheme: SchemeMineSweeper, ZeroMode: ZeroDeferred, DisableZeroing: true}, "ZeroDeferred"},
 		{"unknown zero mode", Config{Scheme: SchemeMineSweeper, ZeroMode: ZeroMode(7)}, "ZeroMode"},
 		{"unknown scheme", Config{Scheme: Scheme(12)}, "Scheme"},
 	}
@@ -62,7 +61,7 @@ func TestValidateAcceptsDefaultsAndSaneConfigs(t *testing.T) {
 		{Scheme: SchemeMineSweeper, Controller: AIMDPolicy()}, // controller without budget: age signal only
 		{Scheme: SchemeMineSweeper, ZeroMode: ZeroDeferred},
 		{Scheme: SchemeMineSweeper, ZeroMode: ZeroDeferred, MemoryBudget: 64 << 20},
-		{Scheme: SchemeMineSweeper, ZeroMode: ZeroImmediate, DisableZeroing: true}, // immediate + no zeroing = plain ablation
+		{Scheme: SchemeMineSweeper, ZeroMode: ZeroOff}, // plain ablation
 		{Scheme: SchemeMarkUs, SweepThreshold: 0.25},
 	}
 	for _, cfg := range cases {
