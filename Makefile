@@ -9,7 +9,7 @@ all: build vet test
 help:
 	@echo "MineSweeper reproduction targets:"
 	@echo "  all        build + vet + test"
-	@echo "  check      go vet + config validation + Synchronous determinism at -cpu 1,2,4 + race-hot + events-overhead + fleet-gate"
+	@echo "  check      gofmt + go vet + config validation + Synchronous determinism at -cpu 1,2,4 + race-hot + events-overhead + fleet-gate"
 	@echo "  test       go test ./..."
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on sweep/shadow/core/mem/jemalloc only"
@@ -56,7 +56,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSize$$' -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz '^FuzzClassSpec$$' -fuzztime 5s ./cmd/msfleet
 
-# The pre-merge gate: static checks, a fast config-validation pass (fails
+# The pre-merge gate: static checks (gofmt over the tracked Go files, so the
+# ignored .bench_build/ tree is never walked, then go vet), a fast
+# config-validation pass (fails
 # immediately on nonsense knob values like an unknown ZeroMode), the
 # Synchronous-mode determinism check at 1, 2 and 4 CPUs (a Static-governed
 # run must match an ungoverned one stat for stat whatever the core count),
@@ -65,7 +67,9 @@ fuzz-smoke:
 # merge-blocking property like the race freedom of the paths it instruments),
 # then the fleet gate (the federated governor's budget bound is likewise a
 # merge-blocking property of the two-level control plane).
-check: vet
+check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
+	$(MAKE) vet
 	$(GO) test -run '^TestValidate' -count=1 .
 	$(GO) test -cpu 1,2,4 -count=3 -run '^TestGovernorStaticEquivalence$$' ./internal/workload
 	$(MAKE) race-hot
@@ -119,9 +123,9 @@ bench-gate:
 # malloc/free pair with and without the telemetry registry attached; fails if
 # attaching costs more than 3% on the minimum round. The two configurations
 # differ only by Config.Telemetry, so the ratio isolates the per-op sampling
-# decision. All three overhead gates and the ZeroMode A/B (MS_ZERO_AB=1) share
-# one interleaved-floor helper; see abfloor_test.go for why the rounds
-# interleave rather than comparing two separate -bench entries.
+# decision. All three overhead gates share one interleaved-floor helper; see
+# abfloor_test.go for why the rounds interleave rather than comparing two
+# separate -bench entries.
 telemetry-overhead:
 	MS_TELEMETRY_GATE=1 $(GO) test -run '^TestTelemetryOverheadGate$$' -count=1 -v .
 

@@ -1,6 +1,6 @@
 // Interleaved A/B floor comparisons: the telemetry-, events- and
-// governor-overhead gates behind their make targets, and the ZeroMode A/B
-// behind MS_ZERO_AB, all run through one helper, abFloor.
+// governor-overhead gates behind their make targets all run through one
+// helper, abFloor.
 //
 // Measuring "A vs B" with two separate `go test -bench` entries is
 // unreliable on this class of host: the whole bench binary speeds up as the
@@ -185,49 +185,5 @@ func TestGovernorOverheadGate(t *testing.T) {
 	})
 	if !ok {
 		t.Errorf("governor overhead %.4fx exceeds %.2fx budget in %d attempts", ratio, maxRatio, attempts)
-	}
-}
-
-// TestZeroModeABFloor reports the ZeroImmediate vs ZeroDeferred malloc/free
-// floors and fails only if deferral makes the pair slower — the mode exists
-// to buy throughput with the documented stale-read window, so costing ns
-// would mean the batch path regressed (e.g. the drain's merge stopped
-// coalescing).
-//
-// The loop stores one word into each chunk before freeing it: an untouched
-// chunk's page keeps its known-zero bit, so BOTH modes elide the clear and
-// the comparison collapses to bookkeeping noise (measured at parity). The
-// store drops the bit, making every free owe a real scrub — immediate mode
-// pays a region lookup plus an 80-byte clear per free, deferred mode a few
-// range-merged clears per ring drain. That dividend is ~10% of the pair,
-// well inside the window drift that separate bench entries suffer.
-func TestZeroModeABFloor(t *testing.T) {
-	if os.Getenv("MS_ZERO_AB") == "" {
-		t.Skip("set MS_ZERO_AB=1 to run the ZeroMode A/B floor comparison")
-	}
-	const maxRatio, attempts = 1.0, 3 // deferred must not be slower than immediate
-	ratio, ok := abFloor(t, abSpec{
-		a:     minesweeper.Config{Scheme: minesweeper.SchemeMineSweeper, ZeroMode: minesweeper.ZeroImmediate},
-		b:     minesweeper.Config{Scheme: minesweeper.SchemeMineSweeper, ZeroMode: minesweeper.ZeroDeferred},
-		aName: "immediate", bName: "deferred",
-		loop: func(th *minesweeper.Thread, n int) error {
-			for i := 0; i < n; i++ {
-				a, err := th.Malloc(64)
-				if err != nil {
-					return err
-				}
-				if err := th.Store(a, uint64(i)|1); err != nil {
-					return err
-				}
-				if err := th.Free(a); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		maxRatio: maxRatio, attempts: attempts,
-	})
-	if !ok {
-		t.Errorf("deferred zeroing is %.4fx of immediate (want <= %.2fx) in %d attempts", ratio, maxRatio, attempts)
 	}
 }

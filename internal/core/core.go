@@ -76,15 +76,13 @@ func (m Mode) String() string {
 	}
 }
 
-// ZeroMode selects when zero-on-free (§4.1) runs for ring-buffered small
-// frees; see Config.ZeroMode.
+// ZeroMode selects whether free() zero-fills memory (§4.1); see
+// Config.ZeroMode.
 type ZeroMode int
 
 const (
 	// ZeroImmediate zeroes inside free() (the paper's semantics; default).
 	ZeroImmediate ZeroMode = iota
-	// ZeroDeferred batches zeroing into the thread ring's drain.
-	ZeroDeferred
 	// ZeroOff disables zero-on-free altogether (ablation only).
 	ZeroOff
 )
@@ -94,8 +92,6 @@ func (z ZeroMode) String() string {
 	switch z {
 	case ZeroImmediate:
 		return "immediate"
-	case ZeroDeferred:
-		return "deferred"
 	case ZeroOff:
 		return "off"
 	default:
@@ -157,20 +153,12 @@ type Config struct {
 	// to the allocator (after optional zero/unmap-remap), reproducing the
 	// "base overheads" and "unmapping + zeroing" partial versions (§5.5).
 	Quarantine bool
-	// ZeroMode selects whether and when free() zero-fills memory (§4.1).
-	// ZeroImmediate (the default, and the paper's
-	// semantics) zeroes inside free(), so a benign dangling read observes
-	// zeros from the moment free returns. ZeroDeferred batches the
-	// zeroing into the thread ring's drain: one grouped, range-merged
-	// ZeroBatch per drain instead of one Zero per free, trading a wider
-	// benign-read window (stale bytes remain readable for at most one
-	// ring, BufferCap frees) for a cheaper free() hot path. Deferred
-	// zeroing always completes before the drained entries become visible
-	// to sweeps via Append, so sweeps still never release memory holding
-	// its old contents, and an exploit spraying after the drain still
-	// finds zeroed memory. Large unmapped frees and the eager
-	// (unregistered/debug) path are unaffected. ZeroOff skips the
-	// zero-fill entirely (the ablation of Figures 15-17).
+	// ZeroMode selects whether free() zero-fills memory (§4.1).
+	// ZeroImmediate (the default, and the paper's semantics) zeroes inside
+	// free(), so a benign dangling read observes zeros from the moment
+	// free returns; large allocations that free() decommits need no
+	// zeroing. ZeroOff skips the zero-fill entirely (the ablation of
+	// Figures 15-17).
 	ZeroMode ZeroMode
 	// Unmapping releases physical pages of large quarantined allocations
 	// (§4.2).
@@ -234,7 +222,6 @@ func (c Config) BaseKnobs() control.Knobs {
 		PauseThreshold:    c.PauseThreshold,
 		Helpers:           c.Helpers,
 		RescanBudgetPages: c.RescanBudgetPages,
-		ZeroDeferred:      c.ZeroMode == ZeroDeferred,
 	}
 }
 
@@ -303,9 +290,6 @@ type threadState struct {
 	// buffer concurrently. Uncontended in every fast path (the owner takes
 	// it only at its amortised drain tick, the sweeper once per sweep).
 	drainMu sync.Mutex
-	// zeroRuns is the deferred-zero scratch for this thread's ring drains
-	// (see Heap.ringZeroHook). Guarded by drainMu like the drain itself.
-	zeroRuns []mem.ZeroRun
 	// freesSinceCheck counts quarantining frees since the last
 	// sweep-trigger evaluation. Owner-thread only, like tbuf.
 	freesSinceCheck int
@@ -352,11 +336,6 @@ type Heap struct {
 	sub   alloc.Substrate
 	space *mem.AddressSpace
 	marks *shadow.Bitmap
-	// unmappedPages mirrors which heap pages MineSweeper decommitted in
-	// quarantine — the paper's "small shadow bitmap" from §4.5. Sweeps
-	// skip those pages via residency; the bitmap exists for accounting
-	// and for restoring protections on commit.
-	unmappedPages *shadow.Bitmap
 	// q is created at attach time so its pending-shard count can mirror
 	// the substrate's arena shards (per-shard sweep ownership); qSharded
 	// gates the per-free shard-stamping assertion.
@@ -384,15 +363,6 @@ type Heap struct {
 	// Owned by the sweep (guarded by sweepMu).
 	shardStats []quarantine.ShardPending
 	shardSel   []bool
-
-	// deferZero caches the effective zeroing deferral switch for the free()
-	// hot path: Config.ZeroMode at construction, re-steered by the governor
-	// (within its rails) at sweep boundaries. One atomic load per free
-	// instead of a whole Knobs copy.
-	deferZero atomic.Bool
-	// deferredZeroBytes counts bytes zeroed by the batched drain pass
-	// (the work ZeroDeferred moved off the free() hot path).
-	deferredZeroBytes atomic.Uint64
 
 	// Statistics.
 	sweeps          atomic.Uint64
@@ -426,14 +396,14 @@ type Heap struct {
 var _ alloc.Allocator = (*Heap)(nil)
 
 // New builds a MineSweeper heap over space with a jemalloc substrate created
-// internally and MineSweeper's extent hooks installed — the paper's default
-// pairing.
+// internally from jcfg — the paper's default pairing. Pages decommitted in
+// quarantine need no bookkeeping of their own: they are non-resident in the
+// address space, and sweeps scan resident pages only (§4.5).
 func New(space *mem.AddressSpace, cfg Config, jcfg jemalloc.Config) (*Heap, error) {
 	h, err := newHeap(space, cfg)
 	if err != nil {
 		return nil, err
 	}
-	jcfg.Hooks = &msHooks{h: h, inner: jcfg.Hooks}
 	return h.attach(jemalloc.New(space, jcfg)), nil
 }
 
@@ -453,21 +423,15 @@ func newHeap(space *mem.AddressSpace, cfg Config) (*Heap, error) {
 	if err != nil {
 		return nil, err
 	}
-	unmapped, err := shadow.New(mem.HeapBase, mem.HeapLimit, mem.PageShift)
-	if err != nil {
-		return nil, err
-	}
 	h := &Heap{
-		cfg:           cfg,
-		space:         space,
-		marks:         marks,
-		unmappedPages: unmapped,
-		ctl:           cfg.Control,
-		sweepReq:      make(chan struct{}, 1),
-		stop:          make(chan struct{}),
+		cfg:      cfg,
+		space:    space,
+		marks:    marks,
+		ctl:      cfg.Control,
+		sweepReq: make(chan struct{}, 1),
+		stop:     make(chan struct{}),
 	}
 	h.genCond = sync.NewCond(&h.genMu)
-	h.deferZero.Store(cfg.ZeroMode == ZeroDeferred)
 	return h, nil
 }
 
@@ -553,12 +517,10 @@ func (h *Heap) SetTelemetry(reg *telemetry.Registry) {
 	reg.RegisterGauge("sweep_pages_scanned_total", h.sw.PagesSwept)
 	reg.RegisterGauge("sweep_zero_skipped_bytes_total", h.sw.ZeroSkippedBytes)
 	// Known-zero map economics: pages the sweep dismissed without touching
-	// their memory, bytes the zeroing paths elided because the map already
-	// knew them zero, and bytes the deferred mode scrubbed at drains
-	// instead of inside free().
+	// their memory, and bytes the zeroing paths elided because the map
+	// already knew them zero.
 	reg.RegisterGauge("sweep_known_zero_pages_total", h.sw.KnownZeroPages)
 	reg.RegisterGauge("zero_elided_bytes_total", h.space.ZeroElidedBytes)
-	reg.RegisterGauge("zero_deferred_bytes_total", h.deferredZeroBytes.Load)
 	if h.ctl != nil {
 		reg.AttachGovernor(h.ctl)
 		// Effective knob gauges: float knobs scaled to integers
@@ -637,46 +599,6 @@ func (h *Heap) tripFlight(cause events.TripCause) {
 	}
 }
 
-// msHooks wraps the default extent hooks with MineSweeper's unmapped-page
-// bookkeeping (§4.5): decommit marks pages in the shadow bitmap and commit
-// clears them and restores access.
-type msHooks struct {
-	h     *Heap
-	inner jemalloc.ExtentHooks
-}
-
-func (m *msHooks) hooks() jemalloc.ExtentHooks {
-	if m.inner != nil {
-		return m.inner
-	}
-	return jemalloc.DefaultHooks{}
-}
-
-// Commit implements jemalloc.ExtentHooks.
-func (m *msHooks) Commit(space *mem.AddressSpace, base, size uint64) error {
-	if err := m.hooks().Commit(space, base, size); err != nil {
-		return err
-	}
-	m.h.unmappedPages.ClearRange(base, base+size)
-	return nil
-}
-
-// Decommit implements jemalloc.ExtentHooks.
-func (m *msHooks) Decommit(space *mem.AddressSpace, base, size uint64) error {
-	if err := m.hooks().Decommit(space, base, size); err != nil {
-		return err
-	}
-	// An extent's pages are consecutive granules of the page-granular
-	// bitmap, so a write-combining Marker turns up to 64 per-page atomics
-	// into one.
-	mk := m.h.unmappedPages.NewMarker()
-	for p := base; p < base+size; p += mem.PageSize {
-		mk.Mark(p)
-	}
-	mk.Flush()
-	return nil
-}
-
 // String returns the scheme name.
 func (h *Heap) String() string {
 	if h.cfg.Mode == MostlyConcurrent {
@@ -723,70 +645,12 @@ func (h *Heap) RegisterThread() alloc.ThreadID {
 		tbuf:   quarantine.NewThreadBuffer(h.q, h.cfg.BufferCap),
 		subTid: subTid,
 	}
-	// The drain-time zero pass is installed whenever the config can defer
-	// zeroing: even if the governor flips deferral off later, entries
-	// pushed while it was on still need the hook to scrub them at drain.
-	if h.cfg.ZeroMode == ZeroDeferred {
-		ts.tbuf.SetZeroHook(h.ringZeroHook(ts))
-	}
 	if rec := h.evt.Load(); rec != nil {
 		ts.evRing.Store(rec.Ring(fmt.Sprintf("thread-%d", len(old))))
 	}
 	nw[len(old)] = ts
 	h.threads.Store(&nw)
 	return alloc.ThreadID(len(old))
-}
-
-// ringZeroHook returns the deferred zero-on-free pass for ts's ring: collect
-// every entry the free() fast path left unscrubbed, merge adjacent chunks
-// into contiguous runs, and zero them in one batch before the drain publishes
-// anything. Runs under ts.drainMu (every Drain call site holds it), on
-// whichever thread drains — the owner at its tick, or the sweeper inside its
-// quiesce.
-func (h *Heap) ringZeroHook(ts *threadState) func([]*quarantine.Entry) {
-	return func(entries []*quarantine.Entry) {
-		runs := ts.zeroRuns[:0]
-		var bytes uint64
-		for _, e := range entries {
-			if e.Zeroed {
-				continue
-			}
-			// Greedy adjacency merge against the previous run: the ring
-			// holds frees in tcache pop order, which walks slab slots
-			// back-to-back (descending within a refill run), so most
-			// entries extend the last run instead of appending a new one.
-			// ZeroBatch's sort+merge then works on a handful of runs, not
-			// BufferCap of them — the sort was the drain's dominant cost.
-			if n := len(runs); n > 0 {
-				last := &runs[n-1]
-				switch {
-				case e.Base == last.Addr+last.Size:
-					last.Size += e.Size
-					bytes += e.Size
-					e.Zeroed = true
-					continue
-				case e.Base+e.Size == last.Addr:
-					last.Addr = e.Base
-					last.Size += e.Size
-					bytes += e.Size
-					e.Zeroed = true
-					continue
-				}
-			}
-			runs = append(runs, mem.ZeroRun{Addr: e.Base, Size: e.Size})
-			bytes += e.Size
-			e.Zeroed = true
-		}
-		ts.zeroRuns = runs[:0]
-		if len(runs) == 0 {
-			return
-		}
-		_ = h.space.ZeroBatch(runs)
-		h.deferredZeroBytes.Add(bytes)
-		if rg := ts.evRing.Load(); rg != nil {
-			rg.Emit(events.KindZeroScrub, uint64(len(runs)), bytes)
-		}
-	}
 }
 
 // UnregisterThread implements alloc.Allocator. The dead thread's state is
@@ -1030,7 +894,6 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 			if err := h.sub.DecommitExtent(a.Base); err == nil {
 				// Immediately remap, as the partial version does.
 				_ = h.space.Commit(a.Base, a.Size, mem.ProtRW)
-				h.unmappedPages.ClearRange(a.Base, a.Base+a.Size)
 				unmapped = true
 			}
 		}
@@ -1091,16 +954,8 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 			unmapped = true
 		}
 	}
-	e.Zeroed = true // nothing to scrub (zeroing off, or the decommit discarded it)
 	if h.cfg.ZeroMode != ZeroOff && !unmapped {
-		if h.deferZero.Load() {
-			// ZeroDeferred: the ring's drain hook scrubs the whole batch
-			// in one range-merged pass, always before the entry becomes
-			// sweep-visible via Append.
-			e.Zeroed = false
-		} else {
-			_ = h.space.Zero(a.Base, a.Size)
-		}
+		_ = h.space.Zero(a.Base, a.Size)
 	}
 
 	full := ts.tbuf.Push(e) // thread-local append, no shared state
@@ -1600,16 +1455,7 @@ func (h *Heap) observeAndSteer(sweepNanos int64, released, retained uint64) {
 	if b := h.ctl.Budget(); b > 0 && in.RSS > b {
 		h.tripFlight(events.TripBudgetRSS)
 	}
-	if !changed {
-		return
-	}
-	if d.After.ZeroDeferred != d.Before.ZeroDeferred {
-		// The cached hot-path switch follows the governed knob. Entries
-		// pushed while deferral was on are still scrubbed: the drain hook
-		// stays installed and keys off Entry.Zeroed, not this switch.
-		h.deferZero.Store(d.After.ZeroDeferred)
-	}
-	if d.After.Helpers == d.Before.Helpers {
+	if !changed || d.After.Helpers == d.Before.Helpers {
 		return
 	}
 	h.sw.SetHelpers(d.After.Helpers)
@@ -1787,7 +1633,7 @@ func (h *Heap) Stats() alloc.Stats {
 	}
 	st.Quarantined = h.q.Bytes() + h.q.UnmappedBytes()
 	st.QuarantinedUnmapped = h.q.UnmappedBytes()
-	st.MetaBytes += h.q.MetaBytes() + h.marks.FootprintBytes() + h.unmappedPages.FootprintBytes()
+	st.MetaBytes += h.q.MetaBytes() + h.marks.FootprintBytes()
 	st.Sweeps = h.sweeps.Load()
 	st.FailedFrees = h.failedFrees.Load()
 	st.ReleasedFrees = h.releasedFrees.Load()

@@ -68,8 +68,8 @@ const (
 	// Mutator-side instants and spans, emitted on the owning thread's ring.
 	KindPauseBegin // §5.7 allocation pause; arg0=trigger reason
 	KindPauseEnd   // arg0=stall ns
-	KindDrain      // quarantine ring drain; arg0=entries, arg1=bytes
-	KindZeroScrub  // deferred zero-on-free batch; arg0=runs, arg1=bytes
+	KindDrain      // quarantine ring drain; arg0=entries, arg1=drain ns
+	_              // reserved (was the deferred zero-scrub batch): keeps later codes stable
 	KindAlloc      // sampled malloc; arg0=size, arg1=latency ns
 	KindFree       // sampled free; arg0=size, arg1=latency ns
 
@@ -98,26 +98,25 @@ func (k Kind) String() string {
 }
 
 var kindNames = [...]string{
-	KindInvalid:       "invalid",
-	KindSweepBegin:    "sweep",
-	KindSweepEnd:      "sweep.end",
-	KindMarkBegin:     "mark",
-	KindMarkEnd:       "mark.end",
-	KindPrecleanBegin: "preclean",
-	KindPrecleanEnd:   "preclean.end",
-	KindStwBegin:      "stw",
-	KindStwAbort:      "stw.abort",
-	KindStwEnd:        "stw.end",
-	KindRecycleBegin:  "recycle",
-	KindRecycleEnd:    "recycle.end",
-	KindPurgeBegin:    "purge",
-	KindPurgeEnd:      "purge.end",
-	KindPauseBegin:    "pause",
-	KindPauseEnd:      "pause.end",
-	KindDrain:         "drain",
-	KindZeroScrub:     "zero-scrub",
-	KindAlloc:         "alloc",
-	KindFree:          "free",
+	KindInvalid:         "invalid",
+	KindSweepBegin:      "sweep",
+	KindSweepEnd:        "sweep.end",
+	KindMarkBegin:       "mark",
+	KindMarkEnd:         "mark.end",
+	KindPrecleanBegin:   "preclean",
+	KindPrecleanEnd:     "preclean.end",
+	KindStwBegin:        "stw",
+	KindStwAbort:        "stw.abort",
+	KindStwEnd:          "stw.end",
+	KindRecycleBegin:    "recycle",
+	KindRecycleEnd:      "recycle.end",
+	KindPurgeBegin:      "purge",
+	KindPurgeEnd:        "purge.end",
+	KindPauseBegin:      "pause",
+	KindPauseEnd:        "pause.end",
+	KindDrain:           "drain",
+	KindAlloc:           "alloc",
+	KindFree:            "free",
 	KindGovDecision:     "governor",
 	KindTrip:            "trip",
 	KindTenantThrottle:  "tenant-throttle",

@@ -152,6 +152,56 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKindCodesStable pins every kind's on-disk code and name. ReadDump
+// stores raw code bytes, so renumbering a kind would mislabel the events of
+// every dump already written. Code 17 is reserved: it belonged to a removed
+// kind and must never be reused.
+func TestKindCodesStable(t *testing.T) {
+	want := []struct {
+		kind Kind
+		code uint8
+		name string
+	}{
+		{KindInvalid, 0, "invalid"},
+		{KindSweepBegin, 1, "sweep"},
+		{KindSweepEnd, 2, "sweep.end"},
+		{KindMarkBegin, 3, "mark"},
+		{KindMarkEnd, 4, "mark.end"},
+		{KindPrecleanBegin, 5, "preclean"},
+		{KindPrecleanEnd, 6, "preclean.end"},
+		{KindStwBegin, 7, "stw"},
+		{KindStwAbort, 8, "stw.abort"},
+		{KindStwEnd, 9, "stw.end"},
+		{KindRecycleBegin, 10, "recycle"},
+		{KindRecycleEnd, 11, "recycle.end"},
+		{KindPurgeBegin, 12, "purge"},
+		{KindPurgeEnd, 13, "purge.end"},
+		{KindPauseBegin, 14, "pause"},
+		{KindPauseEnd, 15, "pause.end"},
+		{KindDrain, 16, "drain"},
+		{Kind(17), 17, "Kind(17)"},
+		{KindAlloc, 18, "alloc"},
+		{KindFree, 19, "free"},
+		{KindGovDecision, 20, "governor"},
+		{KindTrip, 21, "trip"},
+		{KindTenantThrottle, 22, "tenant-throttle"},
+		{KindTenantRebalance, 23, "rebalance"},
+		{KindStarveAvert, 24, "starve-avert"},
+		{KindHostLevel, 25, "host-level"},
+	}
+	if len(want) != int(kindCount) {
+		t.Fatalf("kindCount = %d, table pins %d kinds", kindCount, len(want))
+	}
+	for _, w := range want {
+		if uint8(w.kind) != w.code {
+			t.Errorf("%s has code %d, want %d", w.name, uint8(w.kind), w.code)
+		}
+		if got := w.kind.String(); got != w.name {
+			t.Errorf("Kind(%d).String() = %q, want %q", w.code, got, w.name)
+		}
+	}
+}
+
 func TestDumpRejectsGarbage(t *testing.T) {
 	if _, _, err := ReadDump(strings.NewReader("not a dump at all")); err == nil {
 		t.Fatal("garbage accepted")

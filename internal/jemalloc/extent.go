@@ -9,10 +9,11 @@ import (
 
 // ExtentHooks is the allocator's interface to physical-memory management,
 // mirroring jemalloc's extent_hooks_t. The default hooks commit and decommit
-// pages directly; MineSweeper installs hooks that additionally maintain its
-// unmapped-page shadow bitmap and access protections (§4.5: "we hook onto
-// JeMalloc's extent management via the extent hook API ... instead of a purge
-// call and demand-allocation, we use a pair of calls: decommit and commit").
+// pages directly (§4.5: "we hook onto JeMalloc's extent management via the
+// extent hook API ... instead of a purge call and demand-allocation, we use a
+// pair of calls: decommit and commit"). MineSweeper needs no hooks of its
+// own: a decommitted page is non-resident in the address space, which is
+// what the sweep consults to skip it.
 type ExtentHooks interface {
 	// Commit makes [base, base+size) resident and accessible.
 	Commit(space *mem.AddressSpace, base, size uint64) error

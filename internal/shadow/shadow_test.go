@@ -146,7 +146,7 @@ func TestClearAll(t *testing.T) {
 }
 
 func TestPageGranularity(t *testing.T) {
-	// The unmapped-pages bitmap uses page granularity (shift 12).
+	// A page-granular bitmap (shift 12): one bit covers a whole page.
 	b, err := New(mem.HeapBase, mem.HeapLimit, 12)
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -119,16 +119,10 @@ type Config struct {
 	// pages are dirty, the sweeper pre-cleans concurrently before stopping
 	// the world. Negative disables pre-cleaning; zero keeps the default.
 	RescanBudgetPages int
-	// ZeroMode selects whether and when zero-on-free (§4.1) runs.
-	// ZeroImmediate (the default) zeroes inside free(), so a benign
-	// dangling read sees zeros the moment free returns — the paper's
-	// semantics. ZeroDeferred batches the zeroing into the thread ring's
-	// drain (one range-merged pass per batch, always completing before the
-	// entries become sweep-visible), trading a bounded stale-read window —
-	// at most one ring, BufferCap frees — for a cheaper free() hot path.
-	// ZeroOff turns zero-on-free off altogether — ablation only.
-	// Governed heaps expose the deferral as a knob the controller may turn
-	// off under pressure but never on when this field left it immediate.
+	// ZeroMode selects whether zero-on-free (§4.1) runs. ZeroImmediate
+	// (the default) zeroes inside free(), so a benign dangling read sees
+	// zeros the moment free returns — the paper's semantics. ZeroOff turns
+	// zero-on-free off altogether — ablation only.
 	ZeroMode ZeroMode
 	// Synchronous runs sweeps on the freeing thread (ablation, Figure 15).
 	Synchronous bool
@@ -164,16 +158,13 @@ type Config struct {
 	Controller Policy
 }
 
-// ZeroMode selects when zero-on-free (§4.1) runs for small quarantined
-// frees; see Config.ZeroMode.
+// ZeroMode selects whether zero-on-free (§4.1) runs; see Config.ZeroMode.
 type ZeroMode = core.ZeroMode
 
 const (
 	// ZeroImmediate zeroes inside free() (the default; the paper's
 	// benign-dangling-read-sees-0 semantics).
 	ZeroImmediate = core.ZeroImmediate
-	// ZeroDeferred batches zeroing into the thread-ring drain.
-	ZeroDeferred = core.ZeroDeferred
 	// ZeroOff disables zero-on-free (ablation only).
 	ZeroOff = core.ZeroOff
 )
@@ -250,7 +241,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: Controller set but scheme %v has no sweeps to govern",
 			ErrBadConfig, c.Scheme)
 	}
-	if c.ZeroMode != ZeroImmediate && c.ZeroMode != ZeroDeferred && c.ZeroMode != ZeroOff {
+	if c.ZeroMode != ZeroImmediate && c.ZeroMode != ZeroOff {
 		return fmt.Errorf("%w: unknown ZeroMode %v", ErrBadConfig, c.ZeroMode)
 	}
 	return nil

@@ -59,9 +59,7 @@ func TestValidateAcceptsDefaultsAndSaneConfigs(t *testing.T) {
 		{Scheme: SchemeScudoMineSweeper, MemoryBudget: 64 << 20},
 		{Scheme: SchemeMineSweeperDlmalloc, MemoryBudget: 64 << 20},
 		{Scheme: SchemeMineSweeper, Controller: AIMDPolicy()}, // controller without budget: age signal only
-		{Scheme: SchemeMineSweeper, ZeroMode: ZeroDeferred},
-		{Scheme: SchemeMineSweeper, ZeroMode: ZeroDeferred, MemoryBudget: 64 << 20},
-		{Scheme: SchemeMineSweeper, ZeroMode: ZeroOff}, // plain ablation
+		{Scheme: SchemeMineSweeper, ZeroMode: ZeroOff},        // plain ablation
 		{Scheme: SchemeMarkUs, SweepThreshold: 0.25},
 	}
 	for _, cfg := range cases {
