@@ -1379,7 +1379,19 @@ func (h *Heap) runSweep() {
 			rec.RecycleNanos = time.Since(t0).Nanoseconds()
 		}
 		if h.cfg.Sweeping {
+			if tel != nil {
+				t0 = time.Now()
+			}
+			if er != nil {
+				er.Emit(events.KindClearBegin, h.marks.FootprintBytes(), 0)
+			}
 			h.marks.ClearAll()
+			if er != nil {
+				er.Emit(events.KindClearEnd, 0, 0)
+			}
+			if tel != nil {
+				rec.ClearNanos = time.Since(t0).Nanoseconds()
+			}
 		}
 		if h.cfg.Purging {
 			if tel != nil {

@@ -3,8 +3,10 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"minesweeper/internal/alloc"
+	"minesweeper/internal/events"
 	"minesweeper/internal/jemalloc"
 	"minesweeper/internal/mem"
 	"minesweeper/internal/sim"
@@ -158,6 +160,11 @@ func TestShardedChurnWithConcurrentSweeps(t *testing.T) {
 func TestPauseOnOverwhelm(t *testing.T) {
 	// An extreme allocation rate with a tiny pause threshold must engage
 	// the §5.7 pausing mechanism instead of growing memory unboundedly.
+	// The churn overwhelms the sweeper only while the sweeper is starved,
+	// so the test starves it: it holds sweepMu, which every sweep takes,
+	// until the mutator's pause has begun. A sweeper that runs freely
+	// keeps this churn's quarantine under pauseFloorBytes, where the brake
+	// rightly stays off.
 	cfg := DefaultConfig()
 	cfg.PauseThreshold = 0.5
 	cfg.BufferCap = 1
@@ -166,19 +173,44 @@ func TestPauseOnOverwhelm(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Shutdown()
+	rec := events.NewRecorder(256, time.Minute)
+	h.SetEvents(rec)
 	id := h.RegisterThread()
 	// Keep one live object so the heap denominator is nonzero.
 	keep, _ := h.Malloc(id, 4096)
-	for i := 0; i < 5000; i++ {
-		a, err := h.Malloc(id, 1024)
-		if err != nil {
-			t.Fatal(err)
+
+	h.sweepMu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 5000; i++ {
+			a, err := h.Malloc(id, 1024)
+			if err == nil {
+				err = h.Free(id, a)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
 		}
-		if err := h.Free(id, a); err != nil {
-			t.Fatal(err)
+		done <- h.Free(id, keep)
+	}()
+	for paused := false; !paused; {
+		select {
+		case err := <-done:
+			h.sweepMu.Unlock()
+			t.Fatalf("churn ended (err %v) without pausing behind a starved sweeper", err)
+		case <-time.After(time.Millisecond):
+		}
+		for _, th := range rec.Capture(events.TripManual).Threads {
+			for _, e := range th.Events {
+				paused = paused || e.Kind == events.KindPauseBegin
+			}
 		}
 	}
-	_ = h.Free(id, keep)
+	h.sweepMu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 	if h.Stats().PauseNanos == 0 {
 		t.Error("no pause time recorded under overwhelming churn")
 	}

@@ -71,6 +71,9 @@ func TestEventsRealSweepNests(t *testing.T) {
 	if counts[events.KindRecycleBegin] != 1 || counts[events.KindPurgeBegin] != 1 {
 		t.Errorf("recycle/purge begins = %d/%d, want 1/1", counts[events.KindRecycleBegin], counts[events.KindPurgeBegin])
 	}
+	if counts[events.KindClearBegin] != 1 || counts[events.KindClearEnd] != 1 {
+		t.Errorf("clear span count = %d/%d, want 1/1", counts[events.KindClearBegin], counts[events.KindClearEnd])
+	}
 	if counts[events.KindAlloc] != 40 || counts[events.KindFree] != 40 {
 		t.Errorf("sampled alloc/free = %d/%d, want 40/40 at period 1", counts[events.KindAlloc], counts[events.KindFree])
 	}

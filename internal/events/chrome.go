@@ -37,6 +37,8 @@ func spanName(k Kind) string {
 		return "stw"
 	case KindRecycleBegin, KindRecycleEnd:
 		return "recycle"
+	case KindClearBegin, KindClearEnd:
+		return "clear"
 	case KindPurgeBegin, KindPurgeEnd:
 		return "purge"
 	case KindPauseBegin, KindPauseEnd:
@@ -58,6 +60,8 @@ func chromeArgs(e Event) map[string]any {
 		return map[string]any{"round": e.Arg0}
 	case KindPrecleanEnd:
 		return map[string]any{"pages": e.Arg0, "round": e.Arg1}
+	case KindClearBegin:
+		return map[string]any{"shadow_bytes": e.Arg0}
 	case KindStwBegin:
 		return map[string]any{"dirty_pages": e.Arg0}
 	case KindStwAbort:
@@ -130,7 +134,7 @@ func WriteChromeTrace(w io.Writer, d *Dump) error {
 // End matches the innermost open Begin of the same pair, timestamps within
 // a ring never run backwards across span boundaries, and — the sweep
 // pipeline's structural invariant — non-sweep sweeper phases (mark,
-// preclean, stw, recycle, purge) only open inside a sweep span. Spans
+// preclean, stw, recycle, clear, purge) only open inside a sweep span. Spans
 // clipped by the capture window are tolerated at the edges: unmatched Ends
 // are only legal before the first Begin of that depth, and spans still open
 // at the end of the dump are legal. Returns nil when the dump is

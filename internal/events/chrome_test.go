@@ -19,6 +19,8 @@ func synthSweep(rg *Ring, base uint64) {
 	rg.EmitAt(base+80, KindMarkEnd, 32, 1<<20)
 	rg.EmitAt(base+90, KindRecycleBegin, 0, 0)
 	rg.EmitAt(base+120, KindRecycleEnd, 100, 28)
+	rg.EmitAt(base+123, KindClearBegin, 32<<10, 0)
+	rg.EmitAt(base+127, KindClearEnd, 0, 0)
 	rg.EmitAt(base+130, KindPurgeBegin, 0, 0)
 	rg.EmitAt(base+150, KindPurgeEnd, 0, 0)
 	rg.EmitAt(base+160, KindSweepEnd, 100, 28)
@@ -80,10 +82,10 @@ func TestChromeExportNesting(t *testing.T) {
 			t.Fatalf("tid %v left open spans %v", tid, st)
 		}
 	}
-	// sweep, mark, preclean, stw, recycle, purge on the sweeper + pause on
-	// the mutator.
-	if spans != 7 {
-		t.Fatalf("closed %d spans, want 7", spans)
+	// sweep, mark, preclean, stw, recycle, clear, purge on the sweeper +
+	// pause on the mutator.
+	if spans != 8 {
+		t.Fatalf("closed %d spans, want 8", spans)
 	}
 }
 
@@ -105,6 +107,16 @@ func TestValidateSpansRejectsBadNesting(t *testing.T) {
 	rg2.EmitAt(25, KindMarkEnd, 0, 0)
 	if err := ValidateSpans(rec2.Capture(TripManual)); err == nil {
 		t.Fatal("phase span outside sweep accepted")
+	}
+
+	rec3 := NewRecorder(64, time.Minute)
+	rg3 := rec3.Ring("sweeper")
+	rg3.EmitAt(10, KindSweepBegin, 0, 0)
+	rg3.EmitAt(15, KindSweepEnd, 0, 0)
+	rg3.EmitAt(20, KindClearBegin, 0, 0) // shadow clear after its sweep closed
+	rg3.EmitAt(25, KindClearEnd, 0, 0)
+	if err := ValidateSpans(rec3.Capture(TripManual)); err == nil {
+		t.Fatal("clear span outside sweep accepted")
 	}
 }
 

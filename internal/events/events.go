@@ -85,6 +85,11 @@ const (
 	KindStarveAvert     // floor clamp engaged; arg0=tenant id, arg1=floor bytes
 	KindHostLevel       // host pressure level transition; arg0=new level, arg1=previous level
 
+	// Sweep-phase span added after the fleet kinds so earlier codes stay
+	// stable; it nests in the sweep span between recycle and purge.
+	KindClearBegin // shadow mark bitmap reset; arg0=shadow bytes dropped
+	KindClearEnd
+
 	kindCount
 )
 
@@ -123,6 +128,8 @@ var kindNames = [...]string{
 	KindTenantRebalance: "rebalance",
 	KindStarveAvert:     "starve-avert",
 	KindHostLevel:       "host-level",
+	KindClearBegin:      "clear",
+	KindClearEnd:        "clear.end",
 }
 
 // spanOpen maps a Begin kind to its End kind (0 for instants).
@@ -138,6 +145,8 @@ func spanOpen(k Kind) Kind {
 		return KindStwEnd
 	case KindRecycleBegin:
 		return KindRecycleEnd
+	case KindClearBegin:
+		return KindClearEnd
 	case KindPurgeBegin:
 		return KindPurgeEnd
 	case KindPauseBegin:
@@ -150,7 +159,7 @@ func spanOpen(k Kind) Kind {
 func isEnd(k Kind) bool {
 	switch k {
 	case KindSweepEnd, KindMarkEnd, KindPrecleanEnd, KindStwEnd,
-		KindRecycleEnd, KindPurgeEnd, KindPauseEnd:
+		KindRecycleEnd, KindClearEnd, KindPurgeEnd, KindPauseEnd:
 		return true
 	}
 	return false

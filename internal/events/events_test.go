@@ -188,6 +188,8 @@ func TestKindCodesStable(t *testing.T) {
 		{KindTenantRebalance, 23, "rebalance"},
 		{KindStarveAvert, 24, "starve-avert"},
 		{KindHostLevel, 25, "host-level"},
+		{KindClearBegin, 26, "clear"},
+		{KindClearEnd, 27, "clear.end"},
 	}
 	if len(want) != int(kindCount) {
 		t.Fatalf("kindCount = %d, table pins %d kinds", kindCount, len(want))

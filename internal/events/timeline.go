@@ -31,6 +31,8 @@ func detailFor(e Event) string {
 		return fmt.Sprintf("pages=%d %s", e.Arg0, metrics.FmtMiB(e.Arg1))
 	case KindPrecleanEnd:
 		return fmt.Sprintf("pages=%d round=%d", e.Arg0, e.Arg1)
+	case KindClearBegin:
+		return fmt.Sprintf("shadow=%dKiB", e.Arg0>>10)
 	case KindStwBegin, KindStwEnd:
 		return fmt.Sprintf("dirty-pg=%d", e.Arg0)
 	case KindStwAbort:

@@ -46,18 +46,26 @@ type Stats struct {
 }
 
 // Radix page-table geometry: lookups resolve a page number (addr >> 12) in
-// two steps, L1 indexed by addr bits [47:28] (256 MiB granules) and L2 by
-// bits [27:12]. This makes Lookup O(1) like hardware address translation —
-// essential because quarantining schemes can pin thousands of extents, and a
+// three steps, a top level indexed by addr bits [46:37] (128 GiB granules), a
+// mid block by bits [36:28] (256 MiB granules) and a leaf by bits [27:12].
+// This makes Lookup O(1) like hardware address translation — essential
+// because quarantining schemes can pin thousands of extents, and a
 // per-access cost that grew with extent count would be a simulator artifact,
-// not a property of the schemes under study.
+// not a property of the schemes under study. Mid blocks and leaves are
+// installed on first mapping, so an address space costs only the 8 KiB top
+// level plus what its mappings touch.
 const (
-	radixL1Shift = 28
-	radixL1Size  = 1 << (47 - radixL1Shift) // covers the 47-bit layout
-	radixL2Size  = 1 << (radixL1Shift - PageShift)
+	radixTopShift = 37
+	radixTopSize  = 1 << (47 - radixTopShift) // covers the 47-bit layout
+	radixMidShift = 28
+	radixMidSize  = 1 << (radixTopShift - radixMidShift)
+	radixLeafSize = 1 << (radixMidShift - PageShift)
 )
 
-type radixLeaf [radixL2Size]atomic.Pointer[Region]
+type (
+	radixLeaf [radixLeafSize]atomic.Pointer[Region]
+	radixMid  [radixMidSize]atomic.Pointer[radixLeaf]
+)
 
 // AddressSpace is a sparse simulated 64-bit virtual address space. Mapping
 // changes take a mutex; address lookups are lock-free constant-time radix
@@ -67,7 +75,7 @@ type AddressSpace struct {
 	set      map[uint64]*Region        // live regions by base
 	snapshot atomic.Pointer[[]*Region] // sorted by base; rebuilt lazily
 	stale    atomic.Bool               // snapshot needs rebuilding
-	radix    [radixL1Size]atomic.Pointer[radixLeaf]
+	radix    [radixTopSize]atomic.Pointer[radixMid]
 	nextHeap uint64
 	nextStk  uint64
 	nextGbl  uint64
@@ -180,36 +188,56 @@ func (as *AddressSpace) regions() []*Region {
 
 // Lookup returns the region containing addr, or nil.
 func (as *AddressSpace) Lookup(addr uint64) *Region {
-	l1 := addr >> radixL1Shift
-	if l1 >= radixL1Size {
+	top := addr >> radixTopShift
+	if top >= radixTopSize {
 		return nil
 	}
-	leaf := as.radix[l1].Load()
+	mid := as.radix[top].Load()
+	if mid == nil {
+		return nil
+	}
+	leaf := mid[(addr>>radixMidShift)&(radixMidSize-1)].Load()
 	if leaf == nil {
 		return nil
 	}
-	return leaf[(addr>>PageShift)&(radixL2Size-1)].Load()
+	return leaf[(addr>>PageShift)&(radixLeafSize-1)].Load()
+}
+
+// radixLeafFor returns the leaf covering addr, installing it and its mid
+// block when create is set (and returning nil when it is not and either is
+// missing). Caller holds as.mu, so installs need no CAS; the atomic stores
+// publish them to lock-free Lookups.
+func (as *AddressSpace) radixLeafFor(addr uint64, create bool) *radixLeaf {
+	top := &as.radix[addr>>radixTopShift]
+	mid := top.Load()
+	if mid == nil {
+		if !create {
+			return nil
+		}
+		mid = new(radixMid)
+		top.Store(mid)
+	}
+	slot := &mid[(addr>>radixMidShift)&(radixMidSize-1)]
+	leaf := slot.Load()
+	if leaf == nil && create {
+		leaf = new(radixLeaf)
+		slot.Store(leaf)
+	}
+	return leaf
 }
 
 // radixInsert points every page of r at r. Caller holds as.mu.
 func (as *AddressSpace) radixInsert(r *Region) {
 	for addr := r.base; addr < r.base+r.size; addr += PageSize {
-		l1 := addr >> radixL1Shift
-		leaf := as.radix[l1].Load()
-		if leaf == nil {
-			leaf = new(radixLeaf)
-			as.radix[l1].Store(leaf)
-		}
-		leaf[(addr>>PageShift)&(radixL2Size-1)].Store(r)
+		as.radixLeafFor(addr, true)[(addr>>PageShift)&(radixLeafSize-1)].Store(r)
 	}
 }
 
 // radixRemove clears every page of r. Caller holds as.mu.
 func (as *AddressSpace) radixRemove(r *Region) {
 	for addr := r.base; addr < r.base+r.size; addr += PageSize {
-		leaf := as.radix[addr>>radixL1Shift].Load()
-		if leaf != nil {
-			leaf[(addr>>PageShift)&(radixL2Size-1)].Store(nil)
+		if leaf := as.radixLeafFor(addr, false); leaf != nil {
+			leaf[(addr>>PageShift)&(radixLeafSize-1)].Store(nil)
 		}
 	}
 }

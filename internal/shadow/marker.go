@@ -18,11 +18,13 @@ import "sync/atomic"
 // concurrent marking because publication is still atomic OR. Pending bits are
 // invisible to Test/AnyInRange until Flush, so a Marker must be flushed
 // before the marking phase's results are consumed, and must not be used
-// across ClearAll/ClearRange of the addresses it is buffering (the sweeper
-// creates fresh Markers per pass, which satisfies both).
+// across a ClearAll (the sweeper creates fresh Markers per pass, which
+// satisfies both).
 type Marker struct {
 	b      *Bitmap
 	c      *chunk // chunk holding the pending word; &discard before first hit
+	l      *leaf  // leaf holding c; nil before first hit
+	li     uint64 // top-level index of l; ^0 before first hit
 	wordLo uint64 // first byte whose granule maps into the pending word
 	shift  uint64 // granuleShift, cached
 	wi     uint64 // index of the pending word within c
@@ -39,7 +41,7 @@ var discard chunk
 // NewMarker returns a write-combining marker over b for use by a single
 // goroutine.
 func (b *Bitmap) NewMarker() *Marker {
-	return &Marker{b: b, c: &discard, wordLo: b.limit, shift: uint64(b.granuleShift)}
+	return &Marker{b: b, c: &discard, li: ^uint64(0), wordLo: b.limit, shift: uint64(b.granuleShift)}
 }
 
 // Mark buffers the bit for the granule containing addr. Addresses outside
@@ -58,7 +60,9 @@ func (m *Marker) Mark(addr uint64) {
 // markSlow publishes the pending word and retargets the window at addr's
 // shadow word. Out-of-coverage addresses leave the window untouched: the
 // window is always either fully inside coverage or the sentinel, so the
-// inlined fast path never misdirects a covered mark.
+// inlined fast path never misdirects a covered mark. The current leaf is
+// cached (leaves are never dropped), so a window move within it costs one
+// chunk-slot load and no call once the chunk exists.
 func (m *Marker) markSlow(addr uint64) {
 	b := m.b
 	if addr-b.base >= b.limit-b.base {
@@ -66,7 +70,15 @@ func (m *Marker) markSlow(addr uint64) {
 	}
 	m.Flush()
 	g := (addr - b.base) >> b.granuleShift
-	m.c = b.ensureChunk(g)
+	ci := g >> bitsPerChunkShift
+	if li := ci >> chunksPerLeafShift; li != m.li {
+		m.l, m.li = b.ensureLeaf(ci), li
+	}
+	c := m.l[ci&(chunksPerLeaf-1)].Load()
+	if c == nil {
+		c = b.ensureChunk(m.l, ci)
+	}
+	m.c = c
 	i := g & (bitsPerChunk - 1)
 	m.wi = i >> 6
 	m.acc = 1 << (i & 63)

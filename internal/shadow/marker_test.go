@@ -18,8 +18,12 @@ func requireIdentical(t *testing.T, a, b *Bitmap) {
 		t.Fatal("bitmaps have different geometry")
 	}
 	var zero chunk
-	for i := range a.chunks {
-		ca, cb := a.chunks[i].Load(), b.chunks[i].Load()
+	n := (a.limit - a.base) / chunkCover(a)
+	for i := uint64(0); i < n; i++ {
+		ca, cb := a.getChunk(i<<bitsPerChunkShift), b.getChunk(i<<bitsPerChunkShift)
+		if ca == nil && cb == nil {
+			continue
+		}
 		if ca == nil {
 			ca = &zero
 		}

@@ -6,8 +6,8 @@ import (
 	"minesweeper/internal/mem"
 )
 
-// Cross-chunk-boundary edge cases for AnyInRange and ClearRange: ranges that
-// straddle two chunks, ranges touching base/limit, and empty ranges. A chunk
+// Cross-chunk-boundary edge cases for AnyInRange: ranges that straddle two
+// chunks, ranges touching base/limit, and empty ranges. A chunk
 // covers chunkCover(b) bytes, so addresses just either side of that boundary
 // land in different lazily-allocated chunks.
 
@@ -63,76 +63,5 @@ func TestAnyInRangeTouchingBaseAndLimit(t *testing.T) {
 	// Over-wide range clamps to [base, limit) and still finds both.
 	if !b.AnyInRange(0, ^uint64(0)) {
 		t.Error("clamped full-space range found nothing")
-	}
-	b.ClearRange(mem.HeapBase, mem.HeapBase+g)
-	b.ClearRange(mem.HeapLimit-g, mem.HeapLimit)
-	if b.AnyInRange(0, ^uint64(0)) {
-		t.Error("clearing the base/limit granules left bits behind")
-	}
-}
-
-func TestClearRangeAcrossChunkBoundary(t *testing.T) {
-	b := newTestBitmap(t)
-	boundary := mem.HeapBase + chunkCover(b)
-	g := b.GranuleSize()
-
-	// Paint granules on both sides of the boundary plus sentinels outside
-	// the cleared window.
-	var painted []uint64
-	for off := -8 * int64(g); off <= 8*int64(g); off += int64(g) {
-		painted = append(painted, uint64(int64(boundary)+off))
-	}
-	for _, a := range painted {
-		b.Mark(a)
-	}
-	lo := boundary - 4*g
-	hi := boundary + 4*g // exclusive: granule at hi must survive
-	b.ClearRange(lo, hi)
-
-	for _, a := range painted {
-		want := a < lo || a >= hi
-		if got := b.Test(a); got != want {
-			t.Errorf("after ClearRange(%#x, %#x): Test(%#x) = %v, want %v", lo, hi, a, got, want)
-		}
-	}
-
-	// Empty and inverted ranges are no-ops.
-	before := b.PopCount()
-	b.ClearRange(boundary, boundary)
-	b.ClearRange(boundary+g, boundary-g)
-	if got := b.PopCount(); got != before {
-		t.Errorf("empty/inverted ClearRange changed popcount %d -> %d", before, got)
-	}
-
-	// Clearing a straddle where one side's chunk was never allocated must
-	// not allocate it or touch the other side's surviving bits.
-	farBoundary := mem.HeapBase + 7*chunkCover(b)
-	b.Mark(farBoundary) // chunk 7 exists, chunk 6 untouched
-	alloc := b.allocated.Load()
-	b.ClearRange(farBoundary-2*g, farBoundary+g)
-	if b.allocated.Load() != alloc {
-		t.Error("ClearRange allocated a chunk")
-	}
-	if b.Test(farBoundary) {
-		t.Error("in-range granule not cleared by the straddling ClearRange")
-	}
-	if b.AnyInRange(farBoundary-2*g, farBoundary) {
-		t.Error("cleared never-allocated side reports set bits")
-	}
-}
-
-func TestClearRangeClampsToBitmap(t *testing.T) {
-	b := newTestBitmap(t)
-	g := b.GranuleSize()
-	b.Mark(mem.HeapBase + 10*g)
-	// Ranges entirely outside are no-ops; over-wide ranges clamp and clear.
-	b.ClearRange(0, mem.HeapBase)
-	b.ClearRange(mem.HeapLimit, mem.HeapLimit+1<<20)
-	if !b.Test(mem.HeapBase + 10*g) {
-		t.Fatal("out-of-range ClearRange cleared an in-range bit")
-	}
-	b.ClearRange(0, ^uint64(0))
-	if b.PopCount() != 0 {
-		t.Error("clamped full-space ClearRange left bits")
 	}
 }

@@ -10,8 +10,11 @@
 // A flat bitmap over the full reservable heap area would be gigabytes, so the
 // map is chunked and chunks are allocated lazily on first mark — the same
 // effect as the paper's demand-paged flat shadow space (untouched shadow
-// pages cost nothing). All operations are atomic so parallel sweeper threads
-// mark concurrently without locks.
+// pages cost nothing). The chunk table is itself two-level: a small top
+// level of leaf pointers, and leaves of chunk slots installed on first mark,
+// so an empty bitmap costs a few KiB and clearing one costs O(installed
+// leaves) rather than O(heap range). All operations are atomic so parallel
+// sweeper threads mark concurrently without locks.
 package shadow
 
 import (
@@ -24,12 +27,21 @@ import (
 // chunk covers 2^(18+granuleShift) bytes of address space.
 const bitsPerChunkShift = 18
 
+// chunksPerLeafShift fixes each leaf at 2^9 chunk slots (4 KiB of pointers);
+// at 16-byte granules a leaf covers 2 GiB of heap and the 1 TiB heap needs
+// 512 leaf pointers at the top level.
+const chunksPerLeafShift = 9
+
 const (
 	bitsPerChunk  = 1 << bitsPerChunkShift
 	wordsPerChunk = bitsPerChunk / 64
+	chunksPerLeaf = 1 << chunksPerLeafShift
 )
 
 type chunk [wordsPerChunk]uint64
+
+// leaf is one second-level block of chunk slots.
+type leaf [chunksPerLeaf]atomic.Pointer[chunk]
 
 // Bitmap is a sparse atomic bitmap over the address range [base, limit), with
 // one bit per 2^granuleShift bytes.
@@ -37,8 +49,8 @@ type Bitmap struct {
 	base         uint64
 	limit        uint64
 	granuleShift uint
-	chunks       []atomic.Pointer[chunk]
-	allocated    atomic.Int64 // number of live chunks, for overhead accounting
+	leaves       []atomic.Pointer[leaf] // installed on first mark, never dropped
+	allocated    atomic.Int64           // number of live chunks, for overhead accounting
 }
 
 // New returns a bitmap covering [base, limit) at one bit per 2^granuleShift
@@ -56,7 +68,7 @@ func New(base, limit uint64, granuleShift uint) (*Bitmap, error) {
 		base:         base,
 		limit:        limit,
 		granuleShift: granuleShift,
-		chunks:       make([]atomic.Pointer[chunk], n),
+		leaves:       make([]atomic.Pointer[leaf], (n+chunksPerLeaf-1)/chunksPerLeaf),
 	}, nil
 }
 
@@ -67,11 +79,34 @@ func (b *Bitmap) Covers(addr uint64) bool { return addr >= b.base && addr < b.li
 func (b *Bitmap) granule(addr uint64) uint64 { return (addr - b.base) >> b.granuleShift }
 
 // getChunk returns the chunk holding granule g, or nil if never marked.
-func (b *Bitmap) getChunk(g uint64) *chunk { return b.chunks[g>>bitsPerChunkShift].Load() }
+func (b *Bitmap) getChunk(g uint64) *chunk {
+	ci := g >> bitsPerChunkShift
+	l := b.leaves[ci>>chunksPerLeafShift].Load()
+	if l == nil {
+		return nil
+	}
+	return l[ci&(chunksPerLeaf-1)].Load()
+}
 
-// ensureChunk returns the chunk holding granule g, allocating it if needed.
-func (b *Bitmap) ensureChunk(g uint64) *chunk {
-	slot := &b.chunks[g>>bitsPerChunkShift]
+// ensureLeaf returns the leaf holding chunk index ci, allocating it if
+// needed. The install is a CAS race that the loser adopts, since sweep
+// workers mark concurrently.
+func (b *Bitmap) ensureLeaf(ci uint64) *leaf {
+	top := &b.leaves[ci>>chunksPerLeafShift]
+	if l := top.Load(); l != nil {
+		return l
+	}
+	l := new(leaf)
+	if top.CompareAndSwap(nil, l) {
+		return l
+	}
+	return top.Load()
+}
+
+// ensureChunk returns chunk index ci from its leaf l, allocating it if
+// needed, with the same CAS discipline as ensureLeaf.
+func (b *Bitmap) ensureChunk(l *leaf, ci uint64) *chunk {
+	slot := &l[ci&(chunksPerLeaf-1)]
 	if c := slot.Load(); c != nil {
 		return c
 	}
@@ -91,7 +126,8 @@ func (b *Bitmap) Mark(addr uint64) {
 		return
 	}
 	g := b.granule(addr)
-	c := b.ensureChunk(g)
+	ci := g >> bitsPerChunkShift
+	c := b.ensureChunk(b.ensureLeaf(ci), ci)
 	i := g & (bitsPerChunk - 1)
 	word, bit := i/64, i%64
 	mask := uint64(1) << bit
@@ -168,60 +204,42 @@ func (b *Bitmap) AnyInRange(lo, hi uint64) bool {
 	return false
 }
 
-// ClearRange clears all bits for granules overlapping [lo, hi).
-func (b *Bitmap) ClearRange(lo, hi uint64) {
-	if hi <= lo {
-		return
-	}
-	if lo < b.base {
-		lo = b.base
-	}
-	if hi > b.limit {
-		hi = b.limit
-	}
-	if hi <= lo {
-		return
-	}
-	for g, gEnd := b.granule(lo), b.granule(hi-1)+1; g < gEnd; {
-		c := b.getChunk(g)
-		chunkEnd := (g>>bitsPerChunkShift + 1) << bitsPerChunkShift
-		end := gEnd
-		if end > chunkEnd {
-			end = chunkEnd
-		}
-		if c == nil {
-			g = end
+// ClearAll drops every chunk, resetting the bitmap to empty in O(installed
+// leaves). MineSweeper clears the whole shadow space between sweeps. Leaves
+// stay installed: the next sweep marks the same heap again.
+func (b *Bitmap) ClearAll() {
+	var dropped int64
+	for i := range b.leaves {
+		l := b.leaves[i].Load()
+		if l == nil {
 			continue
 		}
-		for ; g < end; g++ {
-			i := g & (bitsPerChunk - 1)
-			mask := ^(uint64(1) << (i % 64))
-			atomic.AndUint64(&c[i/64], mask)
+		for j := range l {
+			if l[j].Load() != nil {
+				l[j].Store(nil)
+				dropped++
+			}
 		}
 	}
-}
-
-// ClearAll drops every chunk, resetting the bitmap to empty in O(chunks).
-// MineSweeper clears the whole shadow space between sweeps.
-func (b *Bitmap) ClearAll() {
-	for i := range b.chunks {
-		if b.chunks[i].Load() != nil {
-			b.chunks[i].Store(nil)
-			b.allocated.Add(-1)
-		}
-	}
+	b.allocated.Add(-dropped)
 }
 
 // PopCount returns the number of set bits (diagnostic; O(allocated chunks)).
 func (b *Bitmap) PopCount() uint64 {
 	var n uint64
-	for i := range b.chunks {
-		c := b.chunks[i].Load()
-		if c == nil {
+	for i := range b.leaves {
+		l := b.leaves[i].Load()
+		if l == nil {
 			continue
 		}
-		for w := range c {
-			n += uint64(bits.OnesCount64(atomic.LoadUint64(&c[w])))
+		for j := range l {
+			c := l[j].Load()
+			if c == nil {
+				continue
+			}
+			for w := range c {
+				n += uint64(bits.OnesCount64(atomic.LoadUint64(&c[w])))
+			}
 		}
 	}
 	return n

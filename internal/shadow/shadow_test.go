@@ -110,21 +110,6 @@ func TestAnyInRangeSkipsUnallocatedChunks(t *testing.T) {
 	}
 }
 
-func TestClearRange(t *testing.T) {
-	b := newTestBitmap(t)
-	base := mem.HeapBase
-	for i := uint64(0); i < 64; i++ {
-		b.Mark(base + i*16)
-	}
-	b.ClearRange(base+160, base+320) // granules 10..19
-	for i := uint64(0); i < 64; i++ {
-		want := i < 10 || i >= 20
-		if got := b.Test(base + i*16); got != want {
-			t.Errorf("granule %d set = %v, want %v", i, got, want)
-		}
-	}
-}
-
 func TestClearAll(t *testing.T) {
 	b := newTestBitmap(t)
 	for i := uint64(0); i < 1000; i++ {
@@ -189,7 +174,7 @@ func TestQuickAnyInRangeMatchesNaive(t *testing.T) {
 	b := newTestBitmap(t)
 	const window = 1 << 16
 	f := func(markOffs []uint16, lo, hi uint16) bool {
-		b.ClearRange(mem.HeapBase, mem.HeapBase+window)
+		b.ClearAll()
 		for _, m := range markOffs {
 			b.Mark(mem.HeapBase + uint64(m))
 		}

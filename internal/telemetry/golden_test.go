@@ -22,7 +22,7 @@ func goldenSnapshot() Snapshot {
 		Sweeps: []SweepRecord{{
 			Seq: 7, Trigger: TriggerThreshold,
 			TotalNanos: 12_345_000, MarkNanos: 8_000_000, DirtyNanos: 150_000,
-			RecycleNanos: 3_000_000, PurgeNanos: 1_000_000,
+			RecycleNanos: 3_000_000, ClearNanos: 1_600, PurgeNanos: 1_000_000,
 			PagesScanned: 16_853, DirtyPages: 12, PagesKnownZero: 987_654_321,
 			BytesZeroSkipped: 68_074_624,
 			EntriesLocked:    12_345_678, Released: 12_000_000, Retained: 345_678,
@@ -65,9 +65,9 @@ func TestWriteTextNoTrailingSpace(t *testing.T) {
 
 const goldenText = `captured: +2.5s (sweep seq 7)
 sweeps observed: 7 (showing last 1)
-sweep  trigger    total     mark  dirty   recycle  purge  pages  dirty-pg  kz-pg   zero-skip  locked  released  retained  workers  shards
------  ---------  --------  ----  ------  -------  -----  -----  --------  ------  ---------  ------  --------  --------  -------  ------
-7      threshold  12.345ms  8ms   150µs   3ms      1ms    16.9k  12        987.7M  64.9 MiB   12.3M   12.0M     345.7k    6        8
+sweep  trigger    total     mark  dirty   recycle  clear  purge  pages  dirty-pg  kz-pg   zero-skip  locked  released  retained  workers  shards
+-----  ---------  --------  ----  ------  -------  -----  -----  -----  --------  ------  ---------  ------  --------  --------  -------  ------
+7      threshold  12.345ms  8ms   150µs   3ms      2µs    1ms    16.9k  12        987.7M  64.9 MiB   12.3M   12.0M     345.7k    6        8
 
 malloc/free latencies sampled 1 in 256 ops
 

@@ -85,6 +85,7 @@ type SweepRecord struct {
 	MarkNanos    int64 `json:"mark_ns"`
 	DirtyNanos   int64 `json:"dirty_ns"`   // soft-dirty STW re-scan
 	RecycleNanos int64 `json:"recycle_ns"` // filter + FreeBatch release
+	ClearNanos   int64 `json:"clear_ns"`   // shadow mark bitmap reset
 	PurgeNanos   int64 `json:"purge_ns"`
 	TotalNanos   int64 `json:"total_ns"`
 	// PrecleanNanos is time spent in concurrent pre-clean rounds (test-and-

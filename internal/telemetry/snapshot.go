@@ -92,13 +92,13 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		return err
 	}
 	if len(s.Sweeps) > 0 {
-		tb := metrics.NewTable("sweep", "trigger", "total", "mark", "dirty", "recycle", "purge",
+		tb := metrics.NewTable("sweep", "trigger", "total", "mark", "dirty", "recycle", "clear", "purge",
 			"pages", "dirty-pg", "kz-pg", "zero-skip", "locked", "released", "retained", "workers", "shards")
 		for _, r := range s.Sweeps {
 			tb.AddRow(
 				fmt.Sprint(r.Seq), r.Trigger.String(),
 				fmtNs(r.TotalNanos), fmtNs(r.MarkNanos), fmtNs(r.DirtyNanos),
-				fmtNs(r.RecycleNanos), fmtNs(r.PurgeNanos),
+				fmtNs(r.RecycleNanos), fmtNs(r.ClearNanos), fmtNs(r.PurgeNanos),
 				fmtCount(r.PagesScanned), fmtCount(r.DirtyPages), fmtCount(r.PagesKnownZero),
 				metrics.FmtMiB(r.BytesZeroSkipped),
 				fmtCount(r.EntriesLocked), fmtCount(r.Released), fmtCount(r.Retained),

@@ -168,7 +168,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg.RegisterGauge("arena_shards", func() uint64 { return 4 })
 	reg.ObserveSweep(SweepRecord{
 		Trigger: TriggerThreshold, MarkNanos: 1000, RecycleNanos: 2000,
-		PurgeNanos: 300, TotalNanos: 3300, PagesScanned: 12,
+		ClearNanos: 2, PurgeNanos: 300, TotalNanos: 3302, PagesScanned: 12,
 		BytesScanned: 12 << 12, BytesZeroSkipped: 8 << 12,
 		EntriesLocked: 100, Released: 90, Retained: 10, Workers: 2,
 	})
