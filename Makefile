@@ -14,7 +14,7 @@ help:
 	@echo "  race       go test -race ./... (slow; check is the quick gate)"
 	@echo "  race-hot   race detector on sweep/shadow/core/mem/jemalloc only"
 	@echo "  fuzz-smoke run each fuzz target (events dump, size parser, msfleet -class) for 5s"
-	@echo "  bench      sweep hot-path benchmarks (bulk scan, markers, page scan, shadow clear, address-space size)"
+	@echo "  bench      sweep hot-path benchmarks (bulk scan, markers, page scan, shadow clear, address-space size, quarantine claim+release)"
 	@echo "  bench-free malloc/free hot-path benchmarks (fixed-iteration protocol)"
 	@echo "  bench-json bench-free + sweep-release + fleet runs -> BENCH_free.json, BENCH_sweep.json, BENCH_fleet.json"
 	@echo "  bench-gate gate: fresh MallocFree64 + SweepRelease medians within BENCH_GATE_RATIO of their BENCH_*.json"
@@ -77,11 +77,12 @@ check:
 	$(MAKE) fleet-gate
 
 # One-command perf baseline for the sweep hot path: the bulk-scan vs per-word
-# sweep comparison, the shadow-marker and page-scan micro-benchmarks, and the
+# sweep comparison, the shadow-marker and page-scan micro-benchmarks, the
 # per-heap metadata costs (shadow ClearAll after 1 and 64 marked chunks, and
-# the Go heap an empty address space retains).
+# the Go heap an empty address space retains), and the quarantine membership
+# layer (the claim free() pays plus the bit clear at release).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSweepMarkAll|BenchmarkShadowMarker|BenchmarkScanPage|BenchmarkShadowClearAll|BenchmarkNewAddressSpace' -benchmem -count=1 ./internal/sweep ./internal/shadow ./internal/mem
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepMarkAll|BenchmarkShadowMarker|BenchmarkScanPage|BenchmarkShadowClearAll|BenchmarkNewAddressSpace|BenchmarkClaimRelease' -benchmem -count=1 ./internal/sweep ./internal/shadow ./internal/mem ./internal/quarantine
 
 # Malloc/free hot-path benchmarks: the end-to-end MallocFree comparison
 # (single-threaded and 4-way parallel, baseline vs MineSweeper) plus the

@@ -34,6 +34,11 @@
 // Benchmarks present in the fresh run but absent from the baseline are
 // reported and skipped (a new benchmark is not a regression); benchmarks in
 // the baseline but missing from the run are ignored (the run may be scoped).
+// Every result records its host shape — GOMAXPROCS (the -P name suffix) and
+// the CPU model from go test's "cpu:" line — and envelope mode refuses, with
+// exit status 2, to compare a benchmark across shapes: a median from another
+// core count or processor says nothing about a regression here. Re-record
+// the baseline on this host (make bench-json) instead.
 //
 // Quantile mode reads a telemetry snapshot (telemetry.Snapshot JSON, as
 // written by msrun -telemetry-json or msstat) instead of bench output and
@@ -52,6 +57,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -64,6 +70,7 @@ import (
 type result struct {
 	Name        string    `json:"name"`
 	Procs       int       `json:"procs"`
+	CPU         string    `json:"cpu,omitempty"`
 	Runs        int       `json:"runs"`
 	Iterations  []int64   `json:"iterations"`
 	NsPerOp     []float64 `json:"ns_per_op"`
@@ -118,12 +125,47 @@ func main() {
 		return
 	}
 
+	out, err := parse(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
+		os.Exit(1)
+	}
+
+	if *base != "" || *probe != "" {
+		if *base == "" || *probe == "" {
+			fmt.Fprintln(os.Stderr, "benchjson: gate mode needs both -base and -probe")
+			os.Exit(2)
+		}
+		gate(out, *base, *probe, *maxRatio, *stat)
+		return
+	}
+	if *baseline != "" {
+		os.Exit(envelope(out, *baseline, *match, *maxRatio, *stat))
+	}
+
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(out); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: encode:", err)
+		os.Exit(1)
+	}
+}
+
+// parse reads go test -bench output and groups repeated runs of each
+// benchmark, in first-seen order, tagging each with the CPU model of the
+// most recent "cpu:" line (go test prints one per package).
+func parse(in io.Reader) ([]*result, error) {
 	byName := make(map[string]*result)
 	var names []string // first-seen order
+	cpu := ""
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
+		if m, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			cpu = strings.TrimSpace(m)
+			continue
+		}
 		f := strings.Fields(sc.Text())
 		// A result line: Benchmark<Name>-P  <iters>  <ns> ns/op  [<B> B/op  <allocs> allocs/op]
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || f[3] != "ns/op" {
@@ -137,7 +179,7 @@ func main() {
 		name, procs := splitName(f[0])
 		r, ok := byName[f[0]]
 		if !ok {
-			r = &result{Name: name, Procs: procs}
+			r = &result{Name: name, Procs: procs, CPU: cpu}
 			byName[f[0]] = r
 			names = append(names, f[0])
 		}
@@ -157,10 +199,8 @@ func main() {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
-		os.Exit(1)
+		return nil, err
 	}
-
 	out := make([]*result, 0, len(names))
 	for _, n := range names {
 		r := byName[n]
@@ -168,26 +208,7 @@ func main() {
 		r.MedianNsOp = median(r.NsPerOp)
 		out = append(out, r)
 	}
-
-	if *base != "" || *probe != "" {
-		if *base == "" || *probe == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: gate mode needs both -base and -probe")
-			os.Exit(2)
-		}
-		gate(out, *base, *probe, *maxRatio, *stat)
-		return
-	}
-	if *baseline != "" {
-		envelope(out, *baseline, *match, *maxRatio, *stat)
-		return
-	}
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: encode:", err)
-		os.Exit(1)
-	}
+	return out, nil
 }
 
 // quantileGate reads a telemetry snapshot and checks one histogram's quantile
@@ -286,20 +307,22 @@ func pickStat(r *result, stat string) float64 {
 }
 
 // envelope compares every matching fresh result against the same-named entry
-// in the baseline file and exits nonzero if any exceeds its recorded
-// statistic by more than maxRatio. The baseline's committed medians come
-// from the same fixed-iteration protocol, so the ratio is iteration-count
-// comparable; the envelope absorbs host noise between sessions.
-func envelope(fresh []*result, baselineFile, match string, maxRatio float64, stat string) {
+// in the baseline file and returns the exit status: 1 if any exceeds its
+// recorded statistic by more than maxRatio, 2 if the comparison cannot be
+// made — including a benchmark whose host shape (procs, CPU model) differs
+// from the baseline's. The baseline's committed medians come from the same
+// fixed-iteration protocol, so the ratio is iteration-count comparable; the
+// envelope absorbs host noise between sessions on one host shape.
+func envelope(fresh []*result, baselineFile, match string, maxRatio float64, stat string) int {
 	data, err := os.ReadFile(baselineFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson: envelope:", err)
-		os.Exit(2)
+		return 2
 	}
 	var recorded []*result
 	if err := json.Unmarshal(data, &recorded); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: envelope: parsing %s: %v\n", baselineFile, err)
-		os.Exit(2)
+		return 2
 	}
 	byName := make(map[string]*result, len(recorded))
 	for _, r := range recorded {
@@ -317,10 +340,15 @@ func envelope(fresh []*result, baselineFile, match string, maxRatio float64, sta
 			fmt.Printf("envelope %s: not in %s, skipped (new benchmark)\n", f.Name, baselineFile)
 			continue
 		}
+		if b.Procs != f.Procs || b.CPU != f.CPU {
+			fmt.Fprintf(os.Stderr, "benchjson: envelope: %s recorded in %s on procs=%d cpu=%q, this run is procs=%d cpu=%q; refusing to compare across host shapes (re-record the baseline with make bench-json)\n",
+				f.Name, baselineFile, b.Procs, b.CPU, f.Procs, f.CPU)
+			return 2
+		}
 		bv, fv := pickStat(b, stat), pickStat(f, stat)
 		if bv <= 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: envelope: baseline %s %s is %v\n", f.Name, stat, bv)
-			os.Exit(2)
+			return 2
 		}
 		ratio := fv / bv
 		verdict := "ok"
@@ -334,11 +362,12 @@ func envelope(fresh []*result, baselineFile, match string, maxRatio float64, sta
 	}
 	if checked == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: envelope: no benchmarks matched")
-		os.Exit(2)
+		return 2
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: envelope FAILED: %d of %d benchmarks regressed\n", failed, checked)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("envelope OK: %d benchmarks within %.2fx of %s\n", checked, maxRatio, baselineFile)
+	return 0
 }

@@ -6,7 +6,8 @@
 // The layer implements every mechanism of the paper:
 //
 //   - free() interception with quarantining and double-free de-duplication
-//     via a shadow map of entries (§3);
+//     via a shadow map of entries, one bit per granule claimed in free()
+//     (§3);
 //   - zero-filling freed memory, which flattens the quarantine reference
 //     graph and breaks circular dependencies so a linear sweep suffices
 //     instead of a transitive marking procedure (§4.1);
@@ -493,8 +494,8 @@ func (h *Heap) SetTelemetry(reg *telemetry.Registry) {
 	reg.RegisterHistogram(hist)
 	h.drainHist.Store(hist)
 	reg.RegisterGauge("quarantine_entries", h.q.Entries)
-	// Entries sitting in thread-private rings, not yet published to the
-	// membership set: occupancy is published at drains and op ticks, so the
+	// Entries sitting in thread-private rings, claimed but not yet counted
+	// or pending: occupancy is published at drains and op ticks, so the
 	// gauge lags true occupancy by at most one ring per thread.
 	reg.RegisterGauge("quarantine_ring_entries", func() uint64 {
 		var sum uint64
@@ -730,6 +731,10 @@ func (h *Heap) Malloc(tid alloc.ThreadID, size uint64) (uint64, error) {
 }
 
 func (h *Heap) malloc(tid alloc.ThreadID, ts *threadState, size uint64) (uint64, error) {
+	// One membership bit per granule (quarantine.Claim) needs every base
+	// at least a granule from the next; substrates with a smaller class
+	// (jemalloc's 8 bytes) would otherwise pack two bases into one bit.
+	size = max(size, mem.Granule)
 	if ts == nil {
 		h.maybePause(tid)
 	} else if ts.mallocsSincePause++; ts.mallocsSincePause >= sweepCheckInterval {
@@ -903,54 +908,27 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 		return h.sub.FreeResolved(h.subTidFor(tid), ref, addr)
 	}
 
-	// Unregistered callers and debug mode take the eager path: membership
-	// insert (and therefore double-free detection) on the spot, per-entry
-	// pending append. Registered threads take the ring path below, where
-	// free() touches only thread-local state and everything shared is
-	// deferred to bulk drains.
-	if ts == nil || h.cfg.DebugDoubleFree {
-		var e *quarantine.Entry
-		if ts != nil {
-			e = ts.tbuf.NewEntry(a.Base, a.Size)
-		} else {
-			e = h.q.NewEntry(a.Base, a.Size)
-		}
-		e.Ref = ref
-		h.stampShard(e, ref)
-		if !h.q.Insert(e) {
-			return h.doubleFree(addr)
-		}
-		// Large allocations that will be unmapped need no explicit
-		// zeroing: the decommit discards their contents (and any pointers
-		// within).
-		unmapped := false
-		if h.cfg.Unmapping && a.Large && a.Size >= unmapMinBytes {
-			if err := h.sub.DecommitExtent(a.Base); err == nil {
-				h.q.NoteUnmapped(e)
-				unmapped = true
-			}
-		}
-		if h.cfg.ZeroMode != ZeroOff && !unmapped {
-			_ = h.space.Zero(a.Base, a.Size)
-		}
-		h.q.Append([]*quarantine.Entry{e})
-		h.maybeTriggerSweep(tid)
-		return nil
+	// Claim the base before touching the memory: a lost claim is a double
+	// free of a quarantined allocation, caught here on every path whether
+	// the first free's entry is still in a ring or already pending.
+	if !h.q.Claim(a.Base) {
+		return h.doubleFree(addr)
 	}
-
-	e := ts.tbuf.NewEntry(a.Base, a.Size) // lock-free in the common case
+	var e *quarantine.Entry
+	if ts != nil {
+		e = ts.tbuf.NewEntry(a.Base, a.Size) // lock-free in the common case
+	} else {
+		e = h.q.NewEntry(a.Base, a.Size)
+	}
 	e.Ref = ref
 	h.stampShard(e, ref)
 
 	// Large allocations that will be unmapped need no explicit zeroing: the
-	// decommit discards their contents (and any pointers within). A double
-	// free still waiting in a ring re-decommits harmlessly (DecommitExtent
-	// is idempotent on an uncommitted extent) and loses membership insertion
-	// at drain time.
+	// decommit discards their contents (and any pointers within).
 	unmapped := false
 	if h.cfg.Unmapping && a.Large && a.Size >= unmapMinBytes {
 		if err := h.sub.DecommitExtent(a.Base); err == nil {
-			e.Unmapped = true // ring-resident: accounted at drain (§4.2)
+			e.Unmapped = true // accounted when published (§4.2)
 			unmapped = true
 		}
 	}
@@ -958,6 +936,12 @@ func (h *Heap) free(tid alloc.ThreadID, ts *threadState, addr uint64) error {
 		_ = h.space.Zero(a.Base, a.Size)
 	}
 
+	if ts == nil {
+		// Unregistered callers have no ring: publish the one entry now.
+		h.q.Append([]*quarantine.Entry{e})
+		h.maybeTriggerSweep(tid)
+		return nil
+	}
 	full := ts.tbuf.Push(e) // thread-local append, no shared state
 	ts.freesSinceCheck++
 	// Amortised drain and sweep-trigger check: the ring drains at the
@@ -1539,10 +1523,10 @@ func (h *Heap) filterAndRecycle(locked []*quarantine.Entry) (released, retained 
 				if len(addrs) == 0 {
 					return
 				}
-				// Membership leaves before the substrate free (a re-free
-				// racing this window must not be absorbed as a duplicate of
-				// an allocation that no longer exists); the whole batch is
-				// removed under one shard-lock pass, then freed under the
+				// Membership bits clear before the substrate free: once
+				// freed, the address can be handed out again, and the next
+				// owner's free must win its claim rather than be absorbed
+				// as a duplicate. Then the whole batch is freed under the
 				// substrate's batched locks.
 				rel.ReleaseBatch(torel)
 				h.sub.FreeBatch(tid, refs, addrs, errs[:len(addrs)])
@@ -1681,7 +1665,8 @@ func (h *Heap) Shutdown() {
 //     substrate (the quarantine owns it — nothing may have freed it);
 //  2. entry sizes match the substrate's usable sizes;
 //  3. quarantine byte accounting equals the sum over entries;
-//  4. unmapped entries really have no resident pages.
+//  4. unmapped entries really have no resident pages;
+//  5. every pending entry's membership bit is set.
 func (h *Heap) CheckInvariants() error {
 	h.sweepMu.Lock()
 	defer h.sweepMu.Unlock()
@@ -1690,6 +1675,10 @@ func (h *Heap) CheckInvariants() error {
 	var mapped, unmapped, failed uint64
 	h.q.ForEach(func(e *quarantine.Entry) {
 		if err != nil {
+			return
+		}
+		if !h.q.Contains(e.Base) {
+			err = fmt.Errorf("core: invariant: pending entry %#x has no membership bit", e.Base)
 			return
 		}
 		a, ok := h.sub.Lookup(e.Base)

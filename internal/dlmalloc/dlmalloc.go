@@ -182,6 +182,13 @@ func (h *Heap) Free(_ alloc.ThreadID, addr uint64) error {
 		class = jemalloc.SizeToClass(csize)
 	}
 
+	// Leave the mirror before the chunk reaches a bin: once it is there, a
+	// concurrent Malloc can pop it and record the address live again, and a
+	// delete after that would drop the new allocation from the mirror.
+	h.liveMu.Lock()
+	delete(h.live, addr)
+	h.liveMu.Unlock()
+
 	h.mu.Lock()
 	_ = h.space.Store64(addr-headerSize, csize) // clear in-use
 	if class >= 0 {
@@ -194,9 +201,6 @@ func (h *Heap) Free(_ alloc.ThreadID, addr uint64) error {
 	// we deliberately omit.
 	h.mu.Unlock()
 
-	h.liveMu.Lock()
-	delete(h.live, addr)
-	h.liveMu.Unlock()
 	h.allocated.Add(-int64(csize))
 	h.frees.Add(1)
 	return nil

@@ -2,6 +2,7 @@ package dlmalloc
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"minesweeper/internal/alloc"
@@ -234,5 +235,46 @@ func TestChurnStaysSound(t *testing.T) {
 	}
 	if h.AllocatedBytes() != 0 {
 		t.Errorf("AllocatedBytes = %d at end", h.AllocatedBytes())
+	}
+}
+
+// TestFreeRacingMallocKeepsMirror: a chunk freed on one thread can be popped
+// by a Malloc on another before Free returns (MineSweeper's sweep workers
+// free while mutators allocate). The new allocation must stay in the
+// out-of-line mirror, or its owner's later free is rejected as invalid.
+func TestFreeRacingMallocKeepsMirror(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the Malloc loop must run in parallel with the Free")
+	}
+	h := New(mem.NewAddressSpace())
+	for i := 0; i < 2000; i++ {
+		a, err := h.Malloc(0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error)
+		go func() { done <- h.Free(0, a) }()
+		var spare []uint64
+		for {
+			b, err := h.Malloc(0, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == a {
+				break
+			}
+			spare = append(spare, b)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := h.Lookup(a); !ok {
+			t.Fatalf("iteration %d: reallocated %#x missing from the mirror", i, a)
+		}
+		for _, b := range append(spare, a) {
+			if err := h.Free(0, b); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

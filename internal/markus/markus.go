@@ -109,7 +109,8 @@ func (h *Heap) UnregisterThread(tid alloc.ThreadID) { h.je.UnregisterThread(tid 
 
 // Malloc implements alloc.Allocator.
 func (h *Heap) Malloc(tid alloc.ThreadID, size uint64) (uint64, error) {
-	return h.je.Malloc(tid+1, size)
+	// At least a granule, so no two bases share a quarantine membership bit.
+	return h.je.Malloc(tid+1, max(size, mem.Granule))
 }
 
 // Free implements alloc.Allocator: quarantine without zeroing.
@@ -121,13 +122,13 @@ func (h *Heap) Free(tid alloc.ThreadID, addr uint64) error {
 		}
 		return fmt.Errorf("%w: %#x", alloc.ErrInvalidFree, addr)
 	}
-	e := h.q.NewEntry(a.Base, a.Size)
-	if !h.q.Insert(e) {
+	if !h.q.Claim(a.Base) {
 		return nil
 	}
+	e := h.q.NewEntry(a.Base, a.Size)
 	if h.cfg.Unmapping && a.Large {
 		if err := h.je.DecommitExtent(a.Base); err == nil {
-			h.q.NoteUnmapped(e)
+			e.Unmapped = true
 		}
 	}
 	h.q.Append([]*quarantine.Entry{e})

@@ -30,7 +30,10 @@ const (
 	// WordsPerPage is the number of 64-bit words in one page.
 	WordsPerPage = PageSize / WordSize
 	// Granule is the smallest allocation granule in bytes (the paper's
-	// "one bit per every 128 bits" shadow-map resolution).
+	// "one bit per every 128 bits" shadow-map resolution). MineSweeper's
+	// core layer rounds smaller requests up to it, so no two allocation
+	// bases share a granule: the quarantine's membership bitmap keeps one
+	// bit per granule, and the sweep's mark bitmap tests whole granules.
 	Granule = 16
 )
 

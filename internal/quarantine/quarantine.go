@@ -2,15 +2,17 @@
 // allocations the program has freed but that cannot yet be proven free of
 // dangling pointers (§3). It provides:
 //
-//   - a sharded membership set keyed by allocation base, the paper's "shadow
-//     map of entries" that de-duplicates double frees so that calls to free()
-//     while a dangling pointer exists are idempotent;
+//   - a membership bitmap with one bit per 16-byte granule, the paper's
+//     "shadow map of entries". free() claims an allocation's base with one
+//     atomic test-and-set (Claim), so a double free is caught at free time,
+//     lock-free, and calls to free() while a dangling pointer exists are
+//     idempotent;
 //   - a global pending list with epoch lock-in: a sweep atomically takes the
 //     entries "already in quarantine when it starts"; anything freed during
 //     the sweep waits for the next one (§4.3);
-//   - thread-private quarantine rings that make free()'s enqueue entirely
-//     thread-local and publish membership, accounting, and pending-list
-//     appends in bulk drains (contribution (c) in §1.1);
+//   - thread-private quarantine rings that make free()'s enqueue
+//     thread-local and publish accounting and pending-list appends in bulk
+//     drains (contribution (c) in §1.1);
 //   - byte accounting with the paper's two adjustments: failed frees are
 //     subtracted from both sides of the sweep trigger (§3.2), and unmapped
 //     allocations do not count towards the standard threshold (§4.2).
@@ -19,6 +21,9 @@ package quarantine
 import (
 	"sync"
 	"sync/atomic"
+
+	"minesweeper/internal/mem"
+	"minesweeper/internal/shadow"
 )
 
 // Entry describes one quarantined allocation.
@@ -52,132 +57,17 @@ type Entry struct {
 	next *Entry // intrusive freelist link, owned by the quarantine
 }
 
-// setShards is the membership-set shard count. Eight (not the 64 of earlier
-// revisions) because membership traffic now arrives in batches — ring drains
-// insert a whole ring and sweep workers remove releaseBatchSize entries at a
-// time — and batching only amortises the shard lock when a batch lands several
-// entries per shard. At 64 shards a 48-entry drain averaged under one entry
-// per touched shard (one lock round-trip each, no better than per-entry
-// locking); at 8 it averages six.
-const (
-	setShardBits = 3
-	setShards    = 1 << setShardBits
-)
-
-// shard is one slice of the membership set: an open-addressing hash table
-// with linear probing and backward-shift deletion, keyed by Entry.Base.
-// free() pays one Insert and the sweep one Release per allocation, so the
-// table avoids the runtime map's hashing and bucket machinery — on the
-// malloc/free microbenchmark the generic map was ~20% of total CPU.
-//
-// Keys live in their own pointer-free array so a probe chain walks one cache
-// line of uint64s instead of dereferencing an *Entry per slot; the entry
-// pointers sit in a parallel array touched only on a confirmed hit. Max load
-// is 50%, keeping unsuccessful probes (what every Insert of a fresh base
-// pays) near two slots.
-type shard struct {
-	mu   sync.Mutex
-	keys []uint64 // power-of-two; 0 = empty slot (0 is never a heap base)
-	ents []*Entry // parallel to keys
-	n    int      // occupied slots
-}
-
-const shardMinSize = 64
-
-// mix is the multiplicative hash shared by shard selection (top bits) and
-// slot selection (folded bits). Allocation bases are at least 16-byte
-// aligned, so the low bits are dropped first.
-func mix(base uint64) uint64 {
-	return (base >> 4) * 0x9E3779B97F4A7C15
-}
-
-func (s *shard) slot(base uint64) int {
-	h := mix(base)
-	return int((h ^ h>>29) & uint64(len(s.keys)-1))
-}
-
-// lookup returns the index holding base, or -1 and the insertion point.
-func (s *shard) lookup(base uint64) (at, free int) {
-	i := s.slot(base)
-	for {
-		k := s.keys[i]
-		if k == 0 {
-			return -1, i
-		}
-		if k == base {
-			return i, -1
-		}
-		i = (i + 1) & (len(s.keys) - 1)
-	}
-}
-
-func (s *shard) insert(e *Entry) bool {
-	if s.keys == nil {
-		s.keys = make([]uint64, shardMinSize)
-		s.ents = make([]*Entry, shardMinSize)
-	} else if 2*(s.n+1) > len(s.keys) {
-		s.grow()
-	}
-	at, free := s.lookup(e.Base)
-	if at >= 0 {
-		return false
-	}
-	s.keys[free] = e.Base
-	s.ents[free] = e
-	s.n++
-	return true
-}
-
-func (s *shard) remove(base uint64) {
-	at, _ := s.lookup(base)
-	if at < 0 {
-		return
-	}
-	// Backward-shift deletion: slide the probe chain left so no tombstones
-	// accumulate and lookups stay short at any load factor. i is the
-	// current vacancy; j scans the rest of the chain.
-	mask := len(s.keys) - 1
-	i := at
-	for j := at; ; {
-		j = (j + 1) & mask
-		k := s.keys[j]
-		if k == 0 {
-			break
-		}
-		// The element at j may fill the vacancy iff its home slot is not
-		// inside (i, j].
-		if home := s.slot(k); (j-home)&mask >= (j-i)&mask {
-			s.keys[i] = k
-			s.ents[i] = s.ents[j]
-			i = j
-		}
-	}
-	s.keys[i] = 0
-	s.ents[i] = nil
-	s.n--
-}
-
-func (s *shard) grow() {
-	oldKeys, oldEnts := s.keys, s.ents
-	s.keys = make([]uint64, 2*len(oldKeys))
-	s.ents = make([]*Entry, 2*len(oldEnts))
-	for i, k := range oldKeys {
-		if k == 0 {
-			continue
-		}
-		_, free := s.lookup(k)
-		s.keys[free] = k
-		s.ents[free] = oldEnts[i]
-	}
-}
-
 // Quarantine is the global quarantine state. All methods are safe for
 // concurrent use.
 type Quarantine struct {
-	shards [setShards]shard
+	// members holds one bit per granule, set while the allocation based
+	// there is quarantined: Claim sets it, Release clears it. Allocation
+	// bases are at least mem.Granule apart (core rounds smaller requests
+	// up), so no two quarantined bases share a bit.
+	members *shadow.Bitmap
 
 	// Entry recycling: free() is the hot path, so Entries flow NewEntry ->
-	// Insert -> (sweeps) -> Release -> this freelist and back. An intrusive
+	// Append -> (sweeps) -> Release -> this freelist and back. An intrusive
 	// structure under its own mutex rather than a sync.Pool: the pool is
 	// emptied at every GC cycle, and with millions of quarantined entries
 	// in flight the subsequent re-allocation (plus the pool's own ring
@@ -236,7 +126,13 @@ func NewSharded(n int) *Quarantine {
 	if n <= 0 {
 		n = 1
 	}
-	return &Quarantine{pend: make([]pendShard, n)}
+	// One bit per mem.Granule (2^4 bytes) over the heap range; the range
+	// is constant and chunk-aligned, so New cannot fail.
+	members, err := shadow.New(mem.HeapBase, mem.HeapLimit, 4)
+	if err != nil {
+		panic(err)
+	}
+	return &Quarantine{members: members, pend: make([]pendShard, n)}
 }
 
 // NumShards returns the pending-list shard count.
@@ -249,16 +145,6 @@ func (q *Quarantine) pendIdx(e *Entry) int {
 		return 0
 	}
 	return si
-}
-
-// shardIdx selects the membership shard for a base from the hash's top bits
-// (the slot index uses the folded low bits, so the two stay independent).
-func shardIdx(base uint64) int {
-	return int(mix(base) >> (64 - setShardBits))
-}
-
-func (q *Quarantine) shardFor(base uint64) *shard {
-	return &q.shards[shardIdx(base)]
 }
 
 // NewEntry returns a recycled or fresh Entry initialised for (base, size).
@@ -302,44 +188,35 @@ func (q *Quarantine) putEntry(e *Entry) {
 	q.putChain(e)
 }
 
-// Insert registers a freed allocation. It returns false — and counts a
-// de-duplicated double free — if the base is already quarantined; in that
-// case Insert takes ownership of e (recycling it).
-func (q *Quarantine) Insert(e *Entry) bool {
-	s := q.shardFor(e.Base)
-	s.mu.Lock()
-	if !s.insert(e) {
-		s.mu.Unlock()
+// Claim marks base quarantined with one atomic test-and-set on its
+// membership bit. It returns false — and counts a de-duplicated double free —
+// if base is already quarantined. free() claims before it zeroes, decommits
+// or builds an entry, so only the winning free does any of that.
+func (q *Quarantine) Claim(base uint64) bool {
+	if q.members.TestAndSet(base) {
 		q.doubleFrees.Add(1)
-		q.putEntry(e)
 		return false
 	}
-	s.mu.Unlock()
-	q.bytes.Add(int64(e.Size))
-	q.entries.Add(1)
 	return true
 }
 
-// Contains reports whether base is currently quarantined.
-func (q *Quarantine) Contains(base uint64) bool {
-	s := q.shardFor(base)
-	s.mu.Lock()
-	ok := false
-	if s.ents != nil {
-		at, _ := s.lookup(base)
-		ok = at >= 0
-	}
-	s.mu.Unlock()
-	return ok
-}
+// Contains reports whether base is currently quarantined: claimed and not
+// yet released, whether its entry still waits in a thread's ring or not.
+func (q *Quarantine) Contains(base uint64) bool { return q.members.Test(base) }
 
-// Append adds entries (already Inserted) to the pending list for the next
-// lock-in, stamping each with the current epoch. The stamp happens under the
-// pending lock — the same lock LockIn advances the epoch under — so a batch
-// appended concurrently with a lock-in is stamped consistently with the side
-// of the swap it landed on: entries the sweep took carry the pre-advance
-// epoch, entries that missed it carry the post-advance epoch. (An earlier
-// revision stamped at Insert time and advanced the epoch outside the lock,
+// Append publishes claimed entries: it adds their sizes to the byte and entry
+// accounts, then appends them to the pending list for the next lock-in,
+// stamping each with the current epoch. Accounting comes first so a sweep
+// that locks the batch in can never release an entry whose bytes were not
+// yet counted. Entries flagged Unmapped before the call count towards the
+// unmapped account (§4.2).
+//
+// The stamp happens under the pending lock — the same lock LockIn advances
+// the epoch under — so a batch appended concurrently with a lock-in is
+// stamped consistently with the side of the swap it landed on: entries the
+// sweep took carry the pre-advance epoch, entries that missed it carry the
+// post-advance epoch. (An earlier revision stamped at free time and
+// advanced the epoch outside the lock,
 // so a flush racing the advance could publish entries whose recorded epoch
 // was already released — the age gauge then under-reported forever and a
 // governor steering on it never escalated.)
@@ -347,6 +224,21 @@ func (q *Quarantine) Append(batch []*Entry) {
 	if len(batch) == 0 {
 		return
 	}
+	var mapped, unmapped int64
+	for _, e := range batch {
+		if e.Unmapped {
+			unmapped += int64(e.Size)
+		} else {
+			mapped += int64(e.Size)
+		}
+	}
+	if mapped != 0 {
+		q.bytes.Add(mapped)
+	}
+	if unmapped != 0 {
+		q.unmappedBytes.Add(unmapped)
+	}
+	q.entries.Add(int64(len(batch)))
 	q.pendMu.Lock()
 	ep := q.epoch.Load()
 	for _, e := range batch {
@@ -434,18 +326,6 @@ func (q *Quarantine) Requeue(failed []*Entry) {
 	q.pendMu.Unlock()
 }
 
-// NoteUnmapped moves an entry's bytes from the standard quarantine account to
-// the unmapped account (§4.2: unmapped allocations "do not count towards
-// standard memory usage or quarantine-size sweep thresholds").
-func (q *Quarantine) NoteUnmapped(e *Entry) {
-	if e.Unmapped {
-		return
-	}
-	e.Unmapped = true
-	q.bytes.Add(-int64(e.Size))
-	q.unmappedBytes.Add(int64(e.Size))
-}
-
 // NoteFailed accounts an entry's first failed free (§3.2: failed frees are
 // subtracted from both sides of the trigger comparison).
 func (q *Quarantine) NoteFailed(e *Entry) {
@@ -456,16 +336,12 @@ func (q *Quarantine) NoteFailed(e *Entry) {
 	q.failedBytes.Add(int64(e.Size))
 }
 
-// Release removes a released entry from the membership set and all byte
-// accounts. It must be called exactly once per entry, after the sweep has
-// proven it safe and before the underlying free.
+// Release clears a released entry's membership bit and removes it from all
+// byte accounts. It must be called exactly once per entry, after the sweep
+// has proven it safe and before the underlying free: once freed, the address
+// can be handed out again, and the next owner's free must find the bit clear.
 func (q *Quarantine) Release(e *Entry) {
-	s := q.shardFor(e.Base)
-	s.mu.Lock()
-	if s.ents != nil {
-		s.remove(e.Base)
-	}
-	s.mu.Unlock()
+	q.members.Clear(e.Base)
 	if e.Unmapped {
 		q.unmappedBytes.Add(-int64(e.Size))
 	} else {
@@ -479,7 +355,7 @@ func (q *Quarantine) Release(e *Entry) {
 	q.putEntry(e)
 }
 
-// Releaser batches one sweep worker's releases. Shard removal still happens
+// Releaser batches one sweep worker's releases. Membership bits are cleared
 // per entry (membership must be exact at all times), but the freelist splice
 // and the byte/entry accounting are deferred to Flush, turning five atomic
 // operations per release into one set per chunk.
@@ -489,9 +365,6 @@ type Releaser struct {
 	chainLen                          int
 	bytes, unmappedBytes, failedBytes int64
 	n                                 int64
-	// groups is ReleaseBatch's shard-grouping scratch, reused across batches
-	// so a worker's whole run allocates it once.
-	groups [setShards][]*Entry
 }
 
 // releaseChainLen bounds the length of a donated free chain. A sweep worker
@@ -506,48 +379,13 @@ const releaseChainLen = 256
 // concurrent use; each worker owns one and must call Flush when done.
 func (q *Quarantine) NewReleaser() Releaser { return Releaser{q: q} }
 
-// Release is Quarantine.Release with deferred accounting.
-func (r *Releaser) Release(e *Entry) {
-	s := r.q.shardFor(e.Base)
-	s.mu.Lock()
-	if s.keys != nil {
-		s.remove(e.Base)
-	}
-	s.mu.Unlock()
-	r.account(e)
-}
-
-// ReleaseBatch releases a whole batch: membership removal is grouped by shard
-// so the batch costs one shard-lock round-trip per touched shard (at most
-// setShards) instead of one per entry, and the accounting and freelist splice
-// are deferred exactly as in Release. The caller must copy out each entry's
-// Base and Ref first — the entries are recycled here.
+// ReleaseBatch releases a whole batch: each entry's membership bit is cleared
+// at once, and the accounting and freelist splice are deferred to Flush. The
+// caller must copy out each entry's Base and Ref first — the entries are
+// recycled here.
 func (r *Releaser) ReleaseBatch(entries []*Entry) {
-	if len(entries) == 0 {
-		return
-	}
-	for i := range r.groups {
-		r.groups[i] = r.groups[i][:0]
-	}
 	for _, e := range entries {
-		si := shardIdx(e.Base)
-		r.groups[si] = append(r.groups[si], e)
-	}
-	for si := range r.groups {
-		g := r.groups[si]
-		if len(g) == 0 {
-			continue
-		}
-		s := &r.q.shards[si]
-		s.mu.Lock()
-		if s.keys != nil {
-			for _, e := range g {
-				s.remove(e.Base)
-			}
-		}
-		s.mu.Unlock()
-	}
-	for _, e := range entries {
+		r.q.members.Clear(e.Base)
 		r.account(e)
 	}
 }
@@ -592,8 +430,7 @@ func (r *Releaser) Flush() {
 	if r.head != nil {
 		q.putChain(r.head)
 	}
-	groups := r.groups
-	*r = Releaser{q: q, groups: groups}
+	*r = Releaser{q: q}
 }
 
 // Bytes returns mapped quarantined bytes (unmapped entries excluded).
@@ -671,31 +508,27 @@ func (q *Quarantine) PendingShardStats(dst []ShardPending) []ShardPending {
 	return dst
 }
 
-// ForEach calls fn for a snapshot of every quarantined entry. Entries
-// quarantined or released concurrently may or may not be visited. The
-// entries must not be mutated.
+// ForEach calls fn for a snapshot of every pending entry. Entries still in a
+// thread's ring, or locked in by a running sweep, are not visited; nor may
+// entries published or released concurrently be. The entries must not be
+// mutated.
 func (q *Quarantine) ForEach(fn func(e *Entry)) {
-	for i := range q.shards {
-		s := &q.shards[i]
-		s.mu.Lock()
-		snap := make([]*Entry, 0, s.n)
-		for _, e := range s.ents {
-			if e != nil {
-				snap = append(snap, e)
-			}
-		}
-		s.mu.Unlock()
-		for _, e := range snap {
-			fn(e)
-		}
+	q.pendMu.Lock()
+	var snap []*Entry
+	for si := range q.pend {
+		snap = append(snap, q.pend[si].pending...)
+	}
+	q.pendMu.Unlock()
+	for _, e := range snap {
+		fn(e)
 	}
 }
 
-// MetaBytes estimates the quarantine's metadata footprint.
+// MetaBytes estimates the quarantine's metadata footprint: the membership
+// bitmap's installed chunks, plus per entry the Entry struct (incl. the
+// substrate ref word pair) and its pending slot.
 func (q *Quarantine) MetaBytes() uint64 {
-	// Set slot pair (16 B at <=50% load, so ~32 B amortised) + Entry
-	// struct (incl. the substrate ref word pair) + pending slot.
-	return clamp(q.entries.Load()) * (32 + 56 + 8)
+	return q.members.FootprintBytes() + clamp(q.entries.Load())*(56+8)
 }
 
 func clamp(v int64) uint64 {
@@ -705,19 +538,18 @@ func clamp(v int64) uint64 {
 	return uint64(v)
 }
 
-// ThreadBuffer is one mutator thread's private quarantine ring. free()'s
+// ThreadBuffer is one mutator thread's private quarantine ring. Entries are
+// pushed only after free() has won their Claim, so membership — Contains and
+// double-free de-duplication — is exact from the moment of the free. The
 // enqueue (Push) touches only thread-local state — no atomics, no shared
-// locks — and the ring drains in bulk: one Drain inserts the whole ring into
-// the sharded membership set grouping entries by shard (one lock round-trip
-// per touched shard), publishes the byte/entry accounting as one set of
-// atomic adds, and appends the survivors to the global pending list under a
-// single pending-lock acquisition.
+// locks — and the ring drains in bulk: one Drain publishes the byte/entry
+// accounting as one set of atomic adds and appends the ring to the global
+// pending list under a single pending-lock acquisition.
 //
-// The deferral is visible: until a ring entry is drained it is absent from
-// Contains, from the byte accounts, and from double-free de-duplication
-// (a duplicate waits in the ring and is detected — and counted — when the
-// drain's membership insert loses). The lag is bounded by the ring capacity;
-// a capacity of 1 restores the fully eager behaviour.
+// The deferral is visible only in the byte accounts and the pending list: a
+// ring-resident entry is not yet counted and no sweep can lock it in. The lag
+// is bounded by the ring capacity; a capacity of 1 publishes every free at
+// once.
 //
 // Not safe for concurrent use; each thread owns one.
 type ThreadBuffer struct {
@@ -727,11 +559,6 @@ type ThreadBuffer struct {
 	wm   int          // Drain watermark for the amortised tick (see NeedsDrain)
 	free *Entry       // local entry cache, refilled from the freelist a chain at a time
 	occ  atomic.Int32 // occupancy published at drains/ticks for gauges (stale in between)
-
-	// Drain scratch, reused across drains.
-	batch  []*Entry            // membership winners, handed to Append
-	dups   []*Entry            // membership losers (double frees)
-	groups [setShards][]*Entry // shard grouping
 }
 
 // DefaultBufferCap is the default thread-ring capacity.
@@ -748,16 +575,14 @@ func NewThreadBuffer(q *Quarantine, capN int) *ThreadBuffer {
 		wm = 1
 	}
 	return &ThreadBuffer{
-		q:     q,
-		ring:  make([]*Entry, 0, capN),
-		cap:   capN,
-		wm:    wm,
-		batch: make([]*Entry, 0, capN),
-		dups:  make([]*Entry, 0, 4),
+		q:    q,
+		ring: make([]*Entry, 0, capN),
+		cap:  capN,
+		wm:   wm,
 	}
 }
 
-// Push enqueues an entry on the ring — a single thread-local append, no
+// Push enqueues a claimed entry on the ring — a single thread-local append, no
 // shared state — and reports whether the ring is now full, in which case the
 // caller must Drain before the next Push. (A Push past capacity is tolerated
 // — the ring grows — but loses the fixed-footprint guarantee.)
@@ -797,73 +622,14 @@ func (b *ThreadBuffer) NewEntry(base, size uint64) *Entry {
 	return e
 }
 
-// Drain publishes the whole ring: membership inserts grouped by shard,
-// double-free losers counted in one add and recycled straight into the local
-// entry cache, byte/entry accounting published as one set of atomic adds, and
-// the winners appended to the pending list in a single Append. Accounting is
-// published before the pending append so a sweep that locks the batch in can
-// never release an entry whose bytes were not yet counted.
+// Drain publishes the whole ring through Append: accounting as one set of
+// atomic adds, then one pending-list append.
 func (b *ThreadBuffer) Drain() {
-	if len(b.ring) == 0 {
-		b.occ.Store(0)
-		return
+	if len(b.ring) != 0 {
+		b.q.Append(b.ring)
+		clear(b.ring)
+		b.ring = b.ring[:0]
 	}
-	q := b.q
-	for i := range b.groups {
-		b.groups[i] = b.groups[i][:0]
-	}
-	for _, e := range b.ring {
-		si := shardIdx(e.Base)
-		b.groups[si] = append(b.groups[si], e)
-	}
-	winners := b.batch[:0]
-	dups := b.dups[:0]
-	for si := range b.groups {
-		g := b.groups[si]
-		if len(g) == 0 {
-			continue
-		}
-		s := &q.shards[si]
-		s.mu.Lock()
-		for _, e := range g {
-			if s.insert(e) {
-				winners = append(winners, e)
-			} else {
-				dups = append(dups, e)
-			}
-		}
-		s.mu.Unlock()
-	}
-	var mapped, unmapped int64
-	for _, e := range winners {
-		if e.Unmapped {
-			unmapped += int64(e.Size)
-		} else {
-			mapped += int64(e.Size)
-		}
-	}
-	if mapped != 0 {
-		q.bytes.Add(mapped)
-	}
-	if unmapped != 0 {
-		q.unmappedBytes.Add(unmapped)
-	}
-	if len(winners) != 0 {
-		q.entries.Add(int64(len(winners)))
-	}
-	if len(dups) != 0 {
-		q.doubleFrees.Add(uint64(len(dups)))
-		for _, e := range dups {
-			e.Ref = nil
-			e.next = b.free
-			b.free = e
-		}
-	}
-	q.Append(winners)
-	b.batch = winners[:0]
-	b.dups = dups[:0]
-	clear(b.ring)
-	b.ring = b.ring[:0]
 	b.occ.Store(0)
 }
 

@@ -4,22 +4,38 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"minesweeper/internal/mem"
 )
+
+// hb rebases test addresses into the heap range the membership bitmap
+// covers.
+const hb = mem.HeapBase
+
+// insert claims e's base and publishes e, as free() and a drain do
+// together; false means the claim lost (a double free).
+func insert(q *Quarantine, e *Entry) bool {
+	if !q.Claim(e.Base) {
+		return false
+	}
+	q.Append([]*Entry{e})
+	return true
+}
 
 func TestInsertRelease(t *testing.T) {
 	q := New()
-	e := &Entry{Base: 0x1000, Size: 64}
-	if !q.Insert(e) {
+	e := &Entry{Base: hb + 0x1000, Size: 64}
+	if !insert(q, e) {
 		t.Fatal("Insert returned false")
 	}
-	if !q.Contains(0x1000) {
+	if !q.Contains(hb + 0x1000) {
 		t.Error("Contains = false after insert")
 	}
 	if q.Bytes() != 64 || q.Entries() != 1 {
 		t.Errorf("Bytes/Entries = %d/%d, want 64/1", q.Bytes(), q.Entries())
 	}
 	q.Release(e)
-	if q.Contains(0x1000) {
+	if q.Contains(hb + 0x1000) {
 		t.Error("Contains = true after release")
 	}
 	if q.Bytes() != 0 || q.Entries() != 0 {
@@ -29,10 +45,10 @@ func TestInsertRelease(t *testing.T) {
 
 func TestDoubleFreeDeduplicated(t *testing.T) {
 	q := New()
-	if !q.Insert(&Entry{Base: 0x2000, Size: 32}) {
+	if !insert(q, &Entry{Base: hb + 0x2000, Size: 32}) {
 		t.Fatal("first insert failed")
 	}
-	if q.Insert(&Entry{Base: 0x2000, Size: 32}) {
+	if insert(q, &Entry{Base: hb + 0x2000, Size: 32}) {
 		t.Fatal("duplicate insert succeeded")
 	}
 	if q.DoubleFrees() != 1 {
@@ -47,20 +63,20 @@ func TestReinsertAfterRelease(t *testing.T) {
 	// Once released (truly freed), the same base can be allocated and
 	// freed again — the quarantine must accept it.
 	q := New()
-	e := &Entry{Base: 0x3000, Size: 16}
-	q.Insert(e)
+	e := &Entry{Base: hb + 0x3000, Size: 16}
+	insert(q, e)
 	q.Release(e)
-	if !q.Insert(&Entry{Base: 0x3000, Size: 16}) {
+	if !insert(q, &Entry{Base: hb + 0x3000, Size: 16}) {
 		t.Error("reinsert after release failed")
 	}
 }
 
 func TestLockInEpochs(t *testing.T) {
 	q := New()
-	a := &Entry{Base: 0x1000, Size: 8}
-	b := &Entry{Base: 0x2000, Size: 8}
-	q.Insert(a)
-	q.Insert(b)
+	a := &Entry{Base: hb + 0x1000, Size: 8}
+	b := &Entry{Base: hb + 0x2000, Size: 8}
+	q.Claim(a.Base)
+	q.Claim(b.Base)
 	q.Append([]*Entry{a, b})
 
 	locked := q.LockIn()
@@ -68,9 +84,8 @@ func TestLockInEpochs(t *testing.T) {
 		t.Fatalf("LockIn returned %d entries, want 2", len(locked))
 	}
 	// New frees during the sweep go to the next epoch.
-	c := &Entry{Base: 0x3000, Size: 8}
-	q.Insert(c)
-	q.Append([]*Entry{c})
+	c := &Entry{Base: hb + 0x3000, Size: 8}
+	insert(q, c)
 	if got := q.LockIn(); len(got) != 1 || got[0] != c {
 		t.Errorf("second LockIn = %v, want [c]", got)
 	}
@@ -81,8 +96,8 @@ func TestLockInEpochs(t *testing.T) {
 
 func TestFailedAccounting(t *testing.T) {
 	q := New()
-	e := &Entry{Base: 0x1000, Size: 100}
-	q.Insert(e)
+	e := &Entry{Base: hb + 0x1000, Size: 100}
+	insert(q, e)
 	q.NoteFailed(e)
 	q.NoteFailed(e) // idempotent
 	if q.FailedBytes() != 100 {
@@ -96,10 +111,8 @@ func TestFailedAccounting(t *testing.T) {
 
 func TestUnmappedAccounting(t *testing.T) {
 	q := New()
-	e := &Entry{Base: 0x1000, Size: 8192}
-	q.Insert(e)
-	q.NoteUnmapped(e)
-	q.NoteUnmapped(e) // idempotent
+	e := &Entry{Base: hb + 0x1000, Size: 8192, Unmapped: true} // decommitted before publication
+	insert(q, e)
 	if q.Bytes() != 0 {
 		t.Errorf("Bytes = %d, want 0 (unmapped excluded)", q.Bytes())
 	}
@@ -116,13 +129,14 @@ func TestThreadBufferDrainPublishes(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 4)
 	for i := 0; i < 3; i++ {
-		if tb.Push(&Entry{Base: uint64(0x1000 + i*16), Size: 16}) {
+		if tb.Push(claimed(q, hb+uint64(0x1000+i*16), 16)) {
 			t.Fatalf("ring full after %d of 4 pushes", i+1)
 		}
 	}
-	// Ring-resident entries are invisible everywhere until the drain.
-	if q.Contains(0x1000) {
-		t.Error("Contains = true for ring-resident entry")
+	// Ring-resident entries are members from the claim on, but are neither
+	// counted nor pending until the drain.
+	if !q.Contains(hb + 0x1000) {
+		t.Error("Contains = false for claimed ring-resident entry")
 	}
 	if q.Bytes() != 0 || q.Entries() != 0 {
 		t.Errorf("Bytes/Entries = %d/%d before drain, want 0/0", q.Bytes(), q.Entries())
@@ -130,11 +144,11 @@ func TestThreadBufferDrainPublishes(t *testing.T) {
 	if got := q.LockIn(); len(got) != 0 {
 		t.Fatalf("pending published early: %d entries", len(got))
 	}
-	if !tb.Push(&Entry{Base: 0x9000, Size: 16}) {
+	if !tb.Push(claimed(q, hb+0x9000, 16)) {
 		t.Fatal("Push at capacity did not report full")
 	}
 	tb.Drain()
-	if !q.Contains(0x1000) || !q.Contains(0x9000) {
+	if !q.Contains(hb+0x1000) || !q.Contains(hb+0x9000) {
 		t.Error("Contains = false after drain")
 	}
 	if q.Bytes() != 64 || q.Entries() != 4 {
@@ -148,7 +162,7 @@ func TestThreadBufferDrainPublishes(t *testing.T) {
 func TestThreadBufferExplicitDrain(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 0) // default cap
-	tb.Push(&Entry{Base: 0x1000, Size: 16})
+	tb.Push(claimed(q, hb+0x1000, 16))
 	tb.Drain()
 	tb.Drain() // empty drain is a no-op
 	if got := q.LockIn(); len(got) != 1 {
@@ -156,12 +170,23 @@ func TestThreadBufferExplicitDrain(t *testing.T) {
 	}
 }
 
+// TestThreadBufferDrainDeduplicates: a double free loses its claim at free
+// time, so only the winning entry ever reaches the ring, whether the first
+// free is still ring-resident or already drained.
 func TestThreadBufferDrainDeduplicates(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 8)
-	tb.Push(&Entry{Base: 0x1000, Size: 32})
-	tb.Push(&Entry{Base: 0x1000, Size: 32}) // double free, both still ring-resident
-	tb.Push(&Entry{Base: 0x2000, Size: 16})
+	free := func(base, size uint64) {
+		if q.Claim(base) {
+			tb.Push(tb.NewEntry(base, size))
+		}
+	}
+	free(hb+0x1000, 32)
+	free(hb+0x1000, 32) // double free while the first is ring-resident
+	free(hb+0x2000, 16)
+	if tb.Len() != 2 {
+		t.Errorf("ring holds %d entries, want 2 (the duplicate never enters)", tb.Len())
+	}
 	tb.Drain()
 	if q.DoubleFrees() != 1 {
 		t.Errorf("DoubleFrees = %d, want 1", q.DoubleFrees())
@@ -170,7 +195,7 @@ func TestThreadBufferDrainDeduplicates(t *testing.T) {
 		t.Errorf("Bytes/Entries = %d/%d, want 48/2", q.Bytes(), q.Entries())
 	}
 	// A duplicate against an already-drained entry is also caught.
-	tb.Push(&Entry{Base: 0x2000, Size: 16})
+	free(hb+0x2000, 16)
 	tb.Drain()
 	if q.DoubleFrees() != 2 {
 		t.Errorf("DoubleFrees = %d after second drain, want 2", q.DoubleFrees())
@@ -183,9 +208,10 @@ func TestThreadBufferDrainDeduplicates(t *testing.T) {
 func TestThreadBufferDrainUnmappedAccounting(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 4)
-	e := &Entry{Base: 0x4000, Size: 8192, Unmapped: true} // flagged while ring-resident
+	e := claimed(q, hb+0x4000, 8192)
+	e.Unmapped = true // flagged while ring-resident
 	tb.Push(e)
-	tb.Push(&Entry{Base: 0x8000, Size: 64})
+	tb.Push(claimed(q, hb+0x8000, 64))
 	tb.Drain()
 	if q.Bytes() != 64 {
 		t.Errorf("Bytes = %d, want 64 (unmapped excluded)", q.Bytes())
@@ -203,12 +229,12 @@ func TestThreadBufferWatermark(t *testing.T) {
 	q := New()
 	tb := NewThreadBuffer(q, 64)
 	for i := 0; i < 47; i++ {
-		tb.Push(&Entry{Base: uint64(0x1000 + i*16), Size: 16})
+		tb.Push(claimed(q, hb+uint64(0x1000+i*16), 16))
 	}
 	if tb.NeedsDrain() {
 		t.Error("NeedsDrain = true below watermark")
 	}
-	tb.Push(&Entry{Base: 0x9000, Size: 16})
+	tb.Push(claimed(q, hb+0x9000, 16))
 	if !tb.NeedsDrain() {
 		t.Error("NeedsDrain = false at watermark (48 of 64)")
 	}
@@ -242,7 +268,7 @@ func TestAppendEpochLockInRace(t *testing.T) {
 			defer wg.Done()
 			tb := NewThreadBuffer(q, 8)
 			for i := 0; i < perPusher; i++ {
-				if tb.Push(&Entry{Base: uint64(g*perPusher+i+1) * 16, Size: 16}) {
+				if tb.Push(claimed(q, hb+uint64(g*perPusher+i+1)*16, 16)) {
 					tb.Drain()
 				}
 			}
@@ -288,14 +314,12 @@ func TestAppendEpochLockInRace(t *testing.T) {
 
 func TestRequeueLowersOldestPendingEpoch(t *testing.T) {
 	q := New()
-	a := &Entry{Base: 0x1000, Size: 8}
-	q.Insert(a)
-	q.Append([]*Entry{a})
+	a := &Entry{Base: hb + 0x1000, Size: 8}
+	insert(q, a)
 	locked := q.LockIn() // epoch 0 -> 1; a carries epoch 0
 	// New free lands at epoch 1, then the failed entry is requeued behind it.
-	b := &Entry{Base: 0x2000, Size: 8}
-	q.Insert(b)
-	q.Append([]*Entry{b})
+	b := &Entry{Base: hb + 0x2000, Size: 8}
+	insert(q, b)
 	q.Requeue(locked)
 	if got := q.OldestPendingEpoch(); got != 0 {
 		t.Errorf("OldestPendingEpoch = %d, want 0 (requeued entry is oldest)", got)
@@ -316,7 +340,7 @@ func TestConcurrentInsertRelease(t *testing.T) {
 			defer wg.Done()
 			tb := NewThreadBuffer(q, 16)
 			for i := 0; i < n; i++ {
-				if tb.Push(&Entry{Base: uint64(g*n+i+1) * 16, Size: 16}) {
+				if tb.Push(claimed(q, hb+uint64(g*n+i+1)*16, 16)) {
 					tb.Drain()
 				}
 			}
@@ -337,32 +361,31 @@ func TestConcurrentInsertRelease(t *testing.T) {
 	if q.Entries() != 0 || q.Bytes() != 0 {
 		t.Errorf("Entries/Bytes = %d/%d after release all", q.Entries(), q.Bytes())
 	}
+	if q.Contains(locked[0].Base) {
+		t.Error("Contains = true after release")
+	}
 }
 
-// Property: for any interleaving of insert/fail/unmap/release on distinct
-// bases, Bytes + UnmappedBytes equals the sum of live entry sizes, and
-// FailedBytes <= that sum.
+// Property: for any interleaving of insert/insert-unmapped/fail/release on
+// distinct bases, Bytes + UnmappedBytes equals the sum of live entry sizes,
+// UnmappedBytes the sum over unmapped entries, and FailedBytes the sum over
+// failed ones.
 func TestQuickAccounting(t *testing.T) {
 	f := func(ops []uint8) bool {
 		q := New()
 		live := make(map[uint64]*Entry)
-		next := uint64(16)
+		next := hb + 16
 		for _, op := range ops {
 			switch op % 4 {
-			case 0: // insert
-				e := &Entry{Base: next, Size: uint64(op)*8 + 8}
+			case 0, 2: // insert; case 2 inserts an entry decommitted in free()
+				e := &Entry{Base: next, Size: uint64(op)*8 + 8, Unmapped: op%4 == 2}
 				next += 1 << 12
-				if q.Insert(e) {
+				if insert(q, e) {
 					live[e.Base] = e
 				}
 			case 1: // fail one
 				for _, e := range live {
 					q.NoteFailed(e)
-					break
-				}
-			case 2: // unmap one
-				for _, e := range live {
-					q.NoteUnmapped(e)
 					break
 				}
 			case 3: // release one
@@ -372,14 +395,17 @@ func TestQuickAccounting(t *testing.T) {
 					break
 				}
 			}
-			var want, failed uint64
+			var want, unmapped, failed uint64
 			for _, e := range live {
 				want += e.Size
+				if e.Unmapped {
+					unmapped += e.Size
+				}
 				if e.Failed {
 					failed += e.Size
 				}
 			}
-			if q.Bytes()+q.UnmappedBytes() != want {
+			if q.Bytes()+q.UnmappedBytes() != want || q.UnmappedBytes() != unmapped {
 				return false
 			}
 			if q.FailedBytes() != failed {
@@ -393,11 +419,34 @@ func TestQuickAccounting(t *testing.T) {
 	}
 }
 
-func BenchmarkInsertRelease(b *testing.B) {
-	q := New()
-	for i := 0; i < b.N; i++ {
-		e := &Entry{Base: uint64(i+1) * 16, Size: 64}
-		q.Insert(e)
-		q.Release(e)
+// claimed returns an entry for base whose claim won, as free() pushes it.
+func claimed(q *Quarantine, base, size uint64) *Entry {
+	if !q.Claim(base) {
+		panic("duplicate base in test")
 	}
+	return &Entry{Base: base, Size: size}
+}
+
+// BenchmarkClaimRelease is the membership layer's cost per quarantined
+// allocation: the atomic claim free() pays, and the bit clear the recycle
+// phase pays in Releaser.ReleaseBatch, with the batch's deferred accounting
+// and the entry's trip through the freelist as core drives them.
+func BenchmarkClaimRelease(b *testing.B) {
+	q := New()
+	tb := NewThreadBuffer(q, 0)
+	r := q.NewReleaser()
+	batch := make([]*Entry, 0, 256)
+	for i := 0; i < b.N; i++ {
+		base := hb + uint64(i&(1<<16-1))*64
+		if !q.Claim(base) {
+			b.Fatal("claim lost on a released base")
+		}
+		batch = append(batch, tb.NewEntry(base, 64))
+		if len(batch) == cap(batch) {
+			r.ReleaseBatch(batch)
+			batch = batch[:0]
+		}
+	}
+	r.ReleaseBatch(batch)
+	r.Flush()
 }

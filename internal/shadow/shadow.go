@@ -136,6 +136,37 @@ func (b *Bitmap) Mark(addr uint64) {
 	}
 }
 
+// TestAndSet sets the bit for the granule containing addr and reports whether
+// it was already set, as one atomic read-modify-write: of several concurrent
+// callers on one granule exactly one sees false. Addresses outside the
+// covered range are ignored and report false.
+func (b *Bitmap) TestAndSet(addr uint64) bool {
+	if !b.Covers(addr) {
+		return false
+	}
+	g := b.granule(addr)
+	ci := g >> bitsPerChunkShift
+	c := b.ensureChunk(b.ensureLeaf(ci), ci)
+	i := g & (bitsPerChunk - 1)
+	mask := uint64(1) << (i % 64)
+	return atomic.OrUint64(&c[i/64], mask)&mask != 0
+}
+
+// Clear clears the bit for the granule containing addr. Chunks stay
+// installed; clearing a granule that was never set is a no-op.
+func (b *Bitmap) Clear(addr uint64) {
+	if !b.Covers(addr) {
+		return
+	}
+	g := b.granule(addr)
+	c := b.getChunk(g)
+	if c == nil {
+		return
+	}
+	i := g & (bitsPerChunk - 1)
+	atomic.AndUint64(&c[i/64], ^(uint64(1) << (i % 64)))
+}
+
 // Test reports whether the bit for the granule containing addr is set.
 func (b *Bitmap) Test(addr uint64) bool {
 	if !b.Covers(addr) {

@@ -2,6 +2,7 @@ package shadow
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -211,5 +212,90 @@ func BenchmarkAnyInRangeMiss(b *testing.B) {
 		if bm.AnyInRange(mem.HeapBase, mem.HeapBase+1<<20) {
 			b.Fatal("unexpected hit")
 		}
+	}
+}
+
+func TestTestAndSetClear(t *testing.T) {
+	b := newTestBitmap(t)
+	addr := mem.HeapBase + 0x1230
+	if b.TestAndSet(addr) {
+		t.Fatal("first TestAndSet reported the bit already set")
+	}
+	if !b.TestAndSet(addr + 15 - addr%16) {
+		t.Fatal("second TestAndSet in the same granule reported the bit clear")
+	}
+	if b.Test(addr+16) || b.Test(addr-16) {
+		t.Fatal("TestAndSet touched a neighbouring granule")
+	}
+	b.Mark(addr + 16)
+	b.Clear(addr)
+	if b.Test(addr) {
+		t.Fatal("bit still set after Clear")
+	}
+	if !b.Test(addr + 16) {
+		t.Fatal("Clear cleared a neighbouring granule")
+	}
+	if b.TestAndSet(addr) {
+		t.Fatal("TestAndSet after Clear reported the bit already set")
+	}
+	b.Clear(mem.HeapBase + 1<<30) // chunk never installed: no-op
+	if b.TestAndSet(0x1000) || b.TestAndSet(0x1000) || b.TestAndSet(mem.HeapLimit) {
+		t.Fatal("TestAndSet outside the range reported a set bit")
+	}
+	b.Clear(0x1000)
+	if got := b.PopCount(); got != 2 {
+		t.Fatalf("PopCount = %d, want 2", got)
+	}
+}
+
+// TestTestAndSetClearConcurrent stresses the two read-modify-writes under
+// -race. Each goroutine sets and clears its own granules of one shared word,
+// so a non-atomic update would lose a neighbour's bit; and every goroutine
+// races to claim each of a run of shared granules that straddles a chunk
+// boundary (so the chunk installs race too), where exactly one claim per
+// granule may win.
+func TestTestAndSetClearConcurrent(t *testing.T) {
+	b := newTestBitmap(t)
+	const goroutines = 8
+	const rounds = 500
+	word := mem.HeapBase + 1<<22 - 128*16 // 64 granules, all in chunk 0
+	shared := word + 64*16                // crosses into chunk 1 at granule 128
+	var wins [rounds]atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := g; i < 64; i += goroutines {
+					a := word + uint64(i)*16
+					if b.TestAndSet(a) {
+						t.Errorf("own granule %d already set", i)
+						return
+					}
+					if !b.Test(a) {
+						t.Errorf("own granule %d lost its bit", i)
+						return
+					}
+					b.Clear(a)
+					if b.Test(a) {
+						t.Errorf("own granule %d still set after Clear", i)
+						return
+					}
+				}
+				if !b.TestAndSet(shared + uint64(r)*16) {
+					wins[r].Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for r := range wins {
+		if n := wins[r].Load(); n != 1 {
+			t.Fatalf("shared granule %d claimed %d times, want exactly 1", r, n)
+		}
+	}
+	if got := b.PopCount(); got != rounds {
+		t.Fatalf("PopCount = %d, want %d (own granules cleared, shared set)", got, rounds)
 	}
 }
